@@ -43,7 +43,7 @@ let level_arg =
 
 (* Weighted level mixes ("rc=3,si=1,serializable=1") go through the
    workload library's shared parser — one parser, one error message, for
-   stress, chaos and loadgen alike. *)
+   stress and loadgen alike. *)
 let mix_spec_or_exit spec =
   match Workload.Mix.parse spec with
   | Ok m -> m
@@ -349,7 +349,8 @@ let run_cmd =
        ~doc:"Run an ad-hoc workload at an isolation level and analyze the history.")
     Term.(const run_script $ level_arg $ init_arg $ schedule_arg $ script_arg)
 
-(* {2 stress — the multicore runtime with its live oracle} *)
+(* {2 stress — the multicore runtime with its live oracle, optionally
+   under injected faults} *)
 
 (* Wire SIGINT to the pool's drain flag: the first Ctrl-C finishes
    in-flight transactions, takes no new work, and still reports (trace,
@@ -398,9 +399,127 @@ let wal_json_of (w : Storage.Wal.stats) =
     w.Storage.Wal.w_disk_bytes w.Storage.Wal.w_syncs
     w.Storage.Wal.w_checkpoints w.Storage.Wal.w_truncated_segments hist
 
+(* Flags [stress] shares with [serve] (and [loadgen]), defined once. *)
+
+let workers_arg =
+  Arg.(
+    value & opt int 4
+    & info [ "w"; "workers" ] ~docv:"N"
+        ~doc:"Worker domains (a server's sessions may far exceed N).")
+
+let mix_arg =
+  Arg.(
+    value & opt string "hotspot"
+    & info [ "m"; "mix" ] ~docv:"MIX"
+        ~doc:"Workload mix: transfer, hotspot, read-heavy, mixed.")
+
+let accounts_arg =
+  Arg.(
+    value & opt int 16
+    & info [ "accounts" ] ~docv:"N" ~doc:"Rows in the initial bank table.")
+
+let duration_arg =
+  Arg.(
+    value & opt (some float) None
+    & info [ "d"; "duration" ] ~docv:"SECONDS"
+        ~doc:
+          "Run for this long, then drain: $(b,stress) instead of a fixed \
+           transaction count, $(b,serve) instead of until SIGINT.")
+
+let seed_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "seed" ] ~docv:"SEED"
+        ~doc:
+          "Seeds the workload, the backoff jitter and every fault decision: \
+           the same seed injects the same faults at the same transactions \
+           regardless of interleaving.")
+
+let stripes_arg =
+  Arg.(
+    value & opt int Runtime.Pool.default_stripes
+    & info [ "stripes" ] ~docv:"N"
+        ~doc:
+          "Key stripes for the striped execution path (locking engines; \
+           one extra stripe serializes predicate locking). Each engine step \
+           takes only the stripes its footprint touches.")
+
+let coarse_arg =
+  Arg.(
+    value & flag
+    & info [ "coarse" ]
+        ~doc:
+          "Serialize every engine step under one coarse latch (a single \
+           stripe with every footprint widened to the whole store) — the \
+           pre-striping behavior, kept as the comparison baseline.")
+
+let certify_arg =
+  Arg.(
+    value & flag
+    & info [ "certify" ]
+        ~doc:
+          "Certify serializability online: feed every recorded action to \
+           the incremental dependency graph and abort a transaction the \
+           moment its action closes a cycle, before it can commit. Works at \
+           any isolation level — anomalies are certified away rather than \
+           observed; the run fails if the committed projection still has a \
+           cycle. Adds certifier_aborts to the metrics, dep_edge / \
+           dep_cycle events to the trace, and a certifier section (with \
+           per-kind wr/ww/rw edge counts) to the JSON.")
+
+let wal_dir_arg =
+  Arg.(
+    value & opt (some string) None
+    & info [ "wal-dir" ] ~docv:"DIR"
+        ~doc:
+          "Keep the write-ahead log in segmented files under DIR (created \
+           if missing) instead of in memory. Commit records reach the disk \
+           through group commit: one fsync covers every commit that queued \
+           behind it.")
+
+let checkpoint_arg =
+  Arg.(
+    value & opt int 10_000
+    & info [ "checkpoint-every" ] ~docv:"N"
+        ~doc:
+          "Commits between WAL checkpoints (0 = never). A checkpoint logs \
+           the committed store image plus the undo journals of the \
+           in-flight transactions and truncates everything older, so the \
+           log stays bounded however long the run.")
+
+let history_arg =
+  Arg.(
+    value & opt (some bool) None
+    & info [ "history" ] ~docv:"BOOL"
+        ~doc:
+          "Keep the full engine trace and run the post-run oracle over it. \
+           $(b,serve) defaults to true; $(b,stress) to true up to 65536 \
+           transactions (and for --duration runs), false above. false is \
+           the out-of-core mode: the attempt journal spills to disk and the \
+           online certifier ($(b,--certify)) carries the serializability \
+           verdict.")
+
+let json_arg =
+  Arg.(
+    value & opt (some string) None
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:"Also write the run report (metrics, verdicts) as JSON.")
+
+let trace_arg =
+  Arg.(
+    value & opt (some string) None
+    & info [ "trace" ] ~docv:"FILE"
+        ~doc:
+          "Record a structured event trace (attempts, sessions, engine \
+           steps, lock traffic, backoff sleeps, deadlocks, injected faults) \
+           and write it as Chrome trace_event JSON — loadable in \
+           chrome://tracing or Perfetto, and re-renderable with \
+           $(b,isolation_lab explain).")
+
 let stress workers level levels_spec mix_name txns duration accounts hot ops
     think seed fuw stripes coarse oracle_window certify wal_dir
-    checkpoint_every history json_path trace_path telemetry_path =
+    checkpoint_every history faults stall_us deadline_ms watchdog_ms
+    crash_points crash_sample json_path trace_path telemetry_path =
   let mix =
     match Workload.Generators.mix_of_string mix_name with
     | Some m -> m
@@ -410,11 +529,19 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
            (List.map Workload.Generators.mix_name Workload.Generators.all_mixes));
       exit 1
   in
+  if faults < 0. || faults > 1. then begin
+    Fmt.epr "--faults must be in [0, 1]@.";
+    exit 1
+  end;
   (* --levels: a mixed-isolation run. One engine family (the mix's
      weight plurality) executes everything; each transaction keeps the
      level it declared and runs at its in-family strengthening. *)
   let lmix = Option.map mix_spec_or_exit levels_spec in
-  let lfam = Option.map Workload.Mix.family lmix in
+  let family =
+    match lmix with
+    | Some m -> Workload.Mix.family m
+    | None -> Core.Engine.family_of_levels [ level ]
+  in
   let criterion =
     if lmix = None then Runtime.Certifier.Serializability
     else Runtime.Certifier.Mixed
@@ -423,19 +550,44 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
     let p =
       Workload.Generators.stress_program mix ~seed ~accounts ~hot ~ops ~index:i
     in
-    match (lmix, lfam) with
-    | Some m, Some fam ->
+    match lmix with
+    | Some m ->
       let declared = Workload.Mix.draw m ~seed ~index:i in
       Runtime.Pool.job ~name:p.Core.Program.name ~declared
-        ~level:(Isolation.Lattice.strengthen declared fam)
+        ~level:(Isolation.Lattice.strengthen declared family)
         p
-    | _ -> Runtime.Pool.job ~name:p.Core.Program.name ~level p
+    | None -> Runtime.Pool.job ~name:p.Core.Program.name ~level p
   in
   let sink =
     match trace_path with
     | None -> None
     | Some _ -> Some (Trace.Sink.create ~workers:(max 1 workers) ())
   in
+  let plan =
+    if faults <= 0. then None
+    else
+      (* Stalls must fit inside the deadline budget, or every stalled
+         attempt blows its deadline and the run never drains. *)
+      let stall_us =
+        match (stall_us, deadline_ms) with
+        | Some us, _ -> us
+        | None, Some d -> Float.min 2000. (d *. 1000. /. 4.)
+        | None, None -> 2000.
+      in
+      Some (Fault.Plan.chaos ~stall_us ~rate:faults ~seed ())
+  in
+  (* The watchdog watches by default only while faults are injected;
+     an explicit 0 turns it off. *)
+  let watchdog_ms =
+    match watchdog_ms with
+    | Some w when w <= 0. -> None
+    | Some w -> Some w
+    | None -> if Option.is_some plan then Some 25. else None
+  in
+  (* Faults or crash points turn on the fault checks: committed-effects
+     conservation, and crash-point recovery when asked for. *)
+  let fault_checks = Option.is_some plan || crash_points in
+  let initial = Workload.Generators.bank_accounts accounts in
   let stop = drain_on_sigint () in
   (* Out-of-core decision: huge fixed-count runs drop the trace — the
      engine logs to its (checkpoint-truncated) WAL, the recorder spills
@@ -450,11 +602,12 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
     if keep_history then None else Some (scratch_dir "journal")
   in
   let cfg =
-    Runtime.Pool.config ~workers
-      ~initial:(Workload.Generators.bank_accounts accounts)
-      ~first_updater_wins:fuw ~stripes ~coarse ?oracle_window ~think_us:think
-      ~seed ?trace:sink ~certify ~criterion ?family:lfam ?wal_dir
-      ~checkpoint_every ~keep_history ?spill_dir ~stop ()
+    Runtime.Pool.config ~workers ~initial ~first_updater_wins:fuw ~stripes
+      ~coarse ?oracle_window ~think_us:think ~seed ?trace:sink ~certify
+      ~criterion ~family ?fault:plan
+      ?deadline_us:(Option.map (fun ms -> ms *. 1000.) deadline_ms)
+      ?watchdog_us:(Option.map (fun ms -> ms *. 1000.) watchdog_ms)
+      ?wal_dir ~checkpoint_every ~keep_history ?spill_dir ~stop ()
   in
   if not keep_history then
     Format.printf
@@ -465,9 +618,13 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
       (match wal_dir with
       | Some d -> Printf.sprintf ", wal segments in %s" d
       | None -> "");
+  let ms_or_no = function
+    | Some ms -> Printf.sprintf "%.1fms" ms
+    | None -> "no"
+  in
   Format.printf
     "stress: %d workers, %s, mix %s, %s, %d accounts (%d hot), think \
-     %.0fus, seed %d, %s@."
+     %.0fus, seed %d, %s%s@."
     cfg.Runtime.Pool.workers
     (match lmix with
     | Some m -> "levels " ^ Workload.Mix.to_string m ^ " (mixed criterion)"
@@ -477,8 +634,15 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
     | Some d -> Printf.sprintf "%.2fs deadline" d
     | None -> Printf.sprintf "%d transactions" txns)
     accounts hot think seed
+    (* only the locking family runs striped; the multiversion and
+       timestamp engines step under one stripe *)
     (if coarse then "coarse latch"
-     else Printf.sprintf "%d stripes" cfg.Runtime.Pool.stripes);
+     else if family <> `Locking then "1 stripe"
+     else Printf.sprintf "%d stripes" cfg.Runtime.Pool.stripes)
+    (if Option.is_none plan && deadline_ms = None && watchdog_ms = None then ""
+     else
+       Printf.sprintf ", fault rate %g, %s deadline, %s watchdog" faults
+         (ms_or_no deadline_ms) (ms_or_no watchdog_ms));
   (* --telemetry: a sampler thread scrapes the live runtime reading
      every second and appends Prometheus exposition blocks, one per
      scrape, so a run leaves a greppable time series behind. *)
@@ -532,7 +696,8 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
   (match telemetry_path with
   | Some path -> Format.printf "telemetry time series written to %s@." path
   | None -> ());
-  Format.printf "%a@." Runtime.Metrics.pp r.Runtime.Pool.metrics;
+  let m = r.Runtime.Pool.metrics in
+  Format.printf "%a@." Runtime.Metrics.pp m;
   (match r.Runtime.Pool.lock_stats with
   | Some s ->
     Format.printf "lock table: %d grants, %d conflicts, %d releases, %d upgrades@."
@@ -552,6 +717,15 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
       w.Storage.Wal.w_disk_bytes w.Storage.Wal.w_syncs
       w.Storage.Wal.w_checkpoints w.Storage.Wal.w_truncated_segments
   | _ -> ());
+  if fault_checks then
+    (match plan with
+    | Some p ->
+      Format.printf "faults injected: %d (%s)@." (Fault.Plan.total p)
+        (String.concat ", "
+           (List.map
+              (fun (k, n) -> Printf.sprintf "%s %d" k n)
+              (Fault.Plan.injected p)))
+    | None -> Format.printf "faults injected: none (rate 0)@.");
   let oracle = r.Runtime.Pool.oracle in
   (match oracle with
   | None ->
@@ -587,19 +761,89 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
     | Some m -> Workload.Mix.to_string m
     | None -> L.name level
   in
-  (match trace_path with
-  | Some path ->
+  (* Conservation check: the surviving store must equal a replay of the
+     WAL's committed transactions over the initial state — no committed
+     effect lost, none duplicated, nothing from an aborted attempt. The
+     locking and timestamp engines replay single-version records; the
+     multiversion engine replays the versioned record set and compares
+     latest visible rows. *)
+  let initial_store = Storage.Store.of_list initial in
+  let effects_ok =
+    match r.Runtime.Pool.wal with
+    | Some wal when fault_checks ->
+      let ok =
+        match family with
+        | `Mv ->
+          let ideal = Storage.Recovery.ideal_mv ~initial wal in
+          List.sort compare (Storage.Version_store.to_latest_list ideal)
+          = List.sort compare r.Runtime.Pool.final
+        | `Locking | `Timestamp ->
+          let ideal = Storage.Recovery.ideal_state ~initial:initial_store wal in
+          Storage.Store.equal (Storage.Store.of_list r.Runtime.Pool.final) ideal
+      in
+      Format.printf "committed effects: %s@."
+        (if ok then "CONSERVED (final state = committed WAL replay)"
+         else "LOST OR DUPLICATED (final state differs from committed WAL \
+               replay)");
+      Some ok
+    | _ -> None
+  in
+  (* P0-free levels must recover at every crash point; a Degree 0 run
+     admitting dirty writes is *expected* to fail somewhere — that is the
+     paper's §3 argument made executable. With a mix, the crash assertion
+     only applies if *every* declared level forbids P0: one Degree-0
+     transaction in the mix already makes unrecoverable crash points the
+     expected finding. *)
+  let p0_free =
+    List.for_all
+      (fun l -> List.mem P.P0 (Isolation.Spec.forbidden l))
+      (match lmix with Some m -> Workload.Mix.levels m | None -> [ level ])
+  in
+  let crash_report =
+    match r.Runtime.Pool.wal with
+    | Some wal when crash_points ->
+      let report =
+        match family with
+        | `Mv ->
+          Fault.Crash.enumerate_mv ?sample:crash_sample ~seed ~initial wal
+        | `Locking | `Timestamp ->
+          Fault.Crash.enumerate ?sample:crash_sample ~seed
+            ~initial:initial_store wal
+      in
+      Format.printf "%a@." Fault.Crash.pp report;
+      if (not (Fault.Crash.ok report)) && not p0_free then
+        Format.printf
+          "  (expected: %s admits P0, so before-image undo is unsound — \
+           the paper's section 3 dilemma)@."
+          (match lmix with
+          | Some m -> "the mix " ^ Workload.Mix.to_string m
+          | None -> L.name level);
+      Some report
+    | _ -> None
+  in
+  (match (trace_path, sink) with
+  | Some path, Some s ->
+    Option.iter
+      (fun rep ->
+        Trace.Sink.emit_external s ~worker:0 ~tid:0
+          (Trace.Event.Crash_replay
+             {
+               points = rep.Fault.Crash.points + rep.Fault.Crash.torn_points;
+               torn = rep.Fault.Crash.torn_points;
+               failures = List.length rep.Fault.Crash.failures;
+             }))
+      crash_report;
+    let events = Trace.Sink.events s in
     let tmeta =
       Trace.Chrome.meta ~tool:"isolation_lab stress" ~level:level_label
         ~mix:(Workload.Generators.mix_name mix) ~workers ~seed
         ~history:(Trace.Render.history_line r.Runtime.Pool.history)
         ~dropped:r.Runtime.Pool.events_dropped ()
     in
-    Trace.Chrome.write_file path tmeta r.Runtime.Pool.events;
+    Trace.Chrome.write_file path tmeta events;
     Format.printf "trace: %d events (%d dropped) written to %s@."
-      (List.length r.Runtime.Pool.events)
-      r.Runtime.Pool.events_dropped path
-  | None -> ());
+      (List.length events) r.Runtime.Pool.events_dropped path
+  | _ -> ());
   (match
      Option.map (fun o -> o.Runtime.Oracle.witnesses) oracle
      |> Option.value ~default:[]
@@ -615,44 +859,59 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
       ws);
   (match json_path with
   | Some path ->
+    let section name = function
+      | None -> ""
+      | Some json -> Printf.sprintf ",%S:%s" name json
+    in
     let lock_json =
-      match r.Runtime.Pool.lock_stats with
-      | None -> ""
-      | Some s ->
-        Printf.sprintf
-          ",\"lock_table\":{\"grants\":%d,\"conflicts\":%d,\"releases\":%d,\"upgrades\":%d}"
-          s.Locking.Lock_table.grants s.Locking.Lock_table.conflicts
-          s.Locking.Lock_table.releases s.Locking.Lock_table.upgrades
+      Option.map
+        (fun s ->
+          Printf.sprintf
+            "{\"grants\":%d,\"conflicts\":%d,\"releases\":%d,\"upgrades\":%d}"
+            s.Locking.Lock_table.grants s.Locking.Lock_table.conflicts
+            s.Locking.Lock_table.releases s.Locking.Lock_table.upgrades)
+        r.Runtime.Pool.lock_stats
     in
-    let certifier_json =
-      match r.Runtime.Pool.certifier with
-      | None -> ""
-      | Some s -> ",\"certifier\":" ^ Runtime.Certifier.to_json s
-    in
-    let oracle_json =
-      match oracle with
-      | None -> ""
-      | Some o -> ",\"oracle\":" ^ Runtime.Oracle.to_json o
-    in
-    let mixed_json =
-      match r.Runtime.Pool.mixed with
-      | None -> ""
-      | Some mx -> ",\"mixed\":" ^ Runtime.Oracle.mixed_to_json mx
-    in
-    let wal_json =
-      match wal_stats with
-      | None -> ""
-      | Some w -> ",\"wal\":" ^ wal_json_of w
+    let chaos_json =
+      if not fault_checks then None
+      else
+        let by_class =
+          match plan with
+          | None -> "{}"
+          | Some p ->
+            Printf.sprintf "{%s}"
+              (String.concat ","
+                 (List.map
+                    (fun (k, n) -> Printf.sprintf "%S:%d" k n)
+                    (Fault.Plan.injected p)))
+        in
+        Some
+          (Printf.sprintf
+             "{\"fault_rate\":%g,\"faults_injected\":%d,\"by_class\":%s,\"deadline_exceeded\":%d,\"watchdog_kicks\":%d,\"effects_ok\":%s,\"crash_points\":%s}"
+             faults m.Runtime.Metrics.faults_injected by_class
+             m.Runtime.Metrics.deadline_exceeded
+             m.Runtime.Metrics.watchdog_kicks
+             (match effects_ok with
+             | Some b -> string_of_bool b
+             | None -> "null")
+             (match crash_report with
+             | Some rep -> Fault.Crash.to_json rep
+             | None -> "null"))
     in
     let json =
       Printf.sprintf
-        "{\"level\":%S,\"mix\":%S,\"workers\":%d,\"txns\":%d,\"metrics\":%s,\"memory\":%s%s%s%s%s%s}"
+        "{\"level\":%S,\"mix\":%S,\"workers\":%d,\"txns\":%d,\"metrics\":%s,\"memory\":%s%s%s%s%s%s%s}"
         level_label
         (Workload.Generators.mix_name mix)
-        workers txns
-        (Runtime.Metrics.to_json r.Runtime.Pool.metrics)
-        (Runtime.Sysmem.to_json mem) oracle_json mixed_json lock_json
-        certifier_json wal_json
+        workers txns (Runtime.Metrics.to_json m) (Runtime.Sysmem.to_json mem)
+        (section "oracle" (Option.map Runtime.Oracle.to_json oracle))
+        (section "mixed"
+           (Option.map Runtime.Oracle.mixed_to_json r.Runtime.Pool.mixed))
+        (section "lock_table" lock_json)
+        (section "certifier"
+           (Option.map Runtime.Certifier.to_json r.Runtime.Pool.certifier))
+        (section "wal" (Option.map wal_json_of wal_stats))
+        (section "chaos" chaos_json)
     in
     Out_channel.with_open_text path (fun oc ->
         Out_channel.output_string oc json;
@@ -662,56 +921,49 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
   (* Levels that promise serializability turn the oracle into an
      assertion: a dirty history is an engine bug, not a workload fact.
      2PL SERIALIZABLE must be pattern-free — locking prevents the very
-     templates; SSI and T/O admit patterns but must show no anomaly.
-     --certify adds its own promise at *any* level: the certifier dooms
-     cycle closers before they commit, so the committed projection must
-     come back acyclic (anomalies that need no cycle — e.g. a dirty
-     read whose writer aborts — are still observed and reported). *)
-  let assertion =
-    match oracle with
-    | None -> None (* no history kept; the certifier below decides *)
-    | Some o -> (
-      match (lmix, level) with
-      | Some _, _ ->
-        (* mixed run: no single-level promise to assert — the per-victim
-           verdict is reported, and --certify's promise (mixed_ok) is
-           judged below *)
-        None
-      | None, L.Serializable -> Some (Runtime.Oracle.pattern_free o)
-      | None, (L.Serializable_snapshot | L.Timestamp_ordering) ->
-        Some (Runtime.Oracle.clean o)
-      | None, _ -> None)
+     templates; SSI and T/O admit patterns but must show no anomaly. A
+     mixed run has no single-level promise: harm is judged per victim
+     and only enforced by --certify. *)
+  let oracle_ok =
+    match (oracle, lmix, level) with
+    | None, _, _ | _, Some _, _ -> true
+    | Some o, None, L.Serializable -> Runtime.Oracle.pattern_free o
+    | Some o, None, (L.Serializable_snapshot | L.Timestamp_ordering) ->
+      Runtime.Oracle.clean o
+    | Some _, None, _ -> true
   in
-  (* --certify's promise is judged by the online certifier itself: its
-     finalized verdict is exact on the committed projection whether or
-     not a history was kept for the oracle. Under the mixed criterion
-     the promise is mixed_ok — every transaction got the protection its
-     declared level demands — not global serializability. *)
+  (* --certify adds its own promise at *any* level: the certifier dooms
+     cycle closers before they commit, so the committed projection must
+     come back acyclic — judged by the certifier's finalized verdict,
+     exact whether or not a history was kept, and by the oracle's when
+     one was. Under the mixed criterion the promise is mixed_ok — every
+     transaction got the protection its declared level demands — not
+     global serializability. (Anomalies that need no cycle, e.g. a dirty
+     read whose writer aborts, are still observed and reported.) *)
   let certify_ok =
     (not certify)
-    || (match r.Runtime.Pool.certifier with
-       | Some s ->
-         if criterion = Runtime.Certifier.Mixed then
-           s.Runtime.Certifier.mixed_ok
-         else s.Runtime.Certifier.serializable
-       | None -> true)
+    ||
+    match (criterion, r.Runtime.Pool.certifier) with
+    | _, None -> true
+    | Runtime.Certifier.Mixed, Some s -> s.Runtime.Certifier.mixed_ok
+    | Runtime.Certifier.Serializability, Some s ->
+      s.Runtime.Certifier.serializable
+      && Option.fold ~none:true
+           ~some:(fun o -> o.Runtime.Oracle.serializable)
+           oracle
   in
-  match assertion with
-  | Some false -> exit 1
-  | _ -> if not certify_ok then exit 1
+  (* Fault checks: lost or duplicated committed effects, or a crash
+     point a P0-free level failed to recover from. Degree 0 crash
+     failures are the expected finding, not an error. *)
+  let effects_fine = effects_ok <> Some false in
+  let crash_fine =
+    match crash_report with
+    | Some rep when p0_free -> Fault.Crash.ok rep
+    | _ -> true
+  in
+  if not (oracle_ok && certify_ok && effects_fine && crash_fine) then exit 1
 
 let stress_cmd =
-  let workers_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "w"; "workers" ] ~docv:"N" ~doc:"Worker domains.")
-  in
-  let mix_arg =
-    Arg.(
-      value & opt string "hotspot"
-      & info [ "m"; "mix" ] ~docv:"MIX"
-          ~doc:"Workload mix: transfer, hotspot, read-heavy, mixed.")
-  in
   let txns_arg =
     Arg.(
       value & opt int 256
@@ -720,17 +972,6 @@ let stress_cmd =
             "Transactions to run (ignored with --duration). The post-run \
              oracle is polynomial in history size; thousands of \
              transactions make it slow.")
-  in
-  let duration_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "d"; "duration" ] ~docv:"SECONDS"
-          ~doc:"Run until the deadline instead of a fixed transaction count.")
-  in
-  let accounts_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "accounts" ] ~docv:"N" ~doc:"Rows in the bank table.")
   in
   let hot_arg =
     Arg.(
@@ -752,34 +993,11 @@ let stress_cmd =
              what makes transactions overlap; 0 measures raw serial \
              engine throughput.")
   in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Workload and backoff-jitter seed.")
-  in
   let fuw_arg =
     Arg.(
       value & flag
       & info [ "first-updater-wins" ]
           ~doc:"Use the First-Updater-Wins variant of Snapshot Isolation.")
-  in
-  let stripes_arg =
-    Arg.(
-      value & opt int Runtime.Pool.default_stripes
-      & info [ "stripes" ] ~docv:"N"
-          ~doc:
-            "Key stripes for the striped execution path (locking engines; \
-             one extra stripe serializes predicate locking). Each engine \
-             step takes only the stripes its footprint touches.")
-  in
-  let coarse_arg =
-    Arg.(
-      value & flag
-      & info [ "coarse" ]
-          ~doc:
-            "Serialize every engine step under one coarse latch (a single \
-             stripe with every footprint widened to the whole store) — the \
-             pre-striping behavior, kept as the comparison baseline.")
   in
   let oracle_window_arg =
     Arg.(
@@ -793,481 +1011,17 @@ let stress_cmd =
              replay, so cross-window cycles are never missed. Makes long \
              runs checkable.")
   in
-  let certify_arg =
-    Arg.(
-      value & flag
-      & info [ "certify" ]
-          ~doc:
-            "Certify serializability online: feed every recorded action to \
-             the incremental dependency graph and abort a transaction the \
-             moment its action closes a cycle, before it can commit. Works \
-             at any isolation level — anomalies are certified away rather \
-             than observed; the run fails if the committed projection still \
-             has a cycle. Adds certifier_aborts to the metrics, dep_edge / \
-             dep_cycle events to the trace, and a certifier section (with \
-             per-kind wr/ww/rw edge counts) to the JSON.")
-  in
-  let json_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write metrics and the oracle verdict as JSON.")
-  in
-  let trace_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Record a structured event trace (attempts, engine steps, lock \
-             traffic, backoff sleeps, deadlocks) and write it as Chrome \
-             trace_event JSON — loadable in chrome://tracing or Perfetto, \
-             and re-renderable with $(b,isolation_lab explain).")
-  in
-  let telemetry_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "telemetry" ] ~docv:"FILE"
-          ~doc:
-            "Scrape the live runtime once a second while the run is in \
-             flight and append each reading as a Prometheus text-format \
-             block (separated by $(b,# scrape) timestamp comments) — a \
-             time series of the run, not just its final totals.")
-  in
-  let wal_dir_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "wal-dir" ] ~docv:"DIR"
-          ~doc:
-            "Keep the locking engine's write-ahead log in segmented files \
-             under DIR (created if missing) instead of in memory. Commit \
-             records reach the disk through group commit: one fsync covers \
-             every commit that queued behind it.")
-  in
-  let checkpoint_arg =
-    Arg.(
-      value & opt int 10_000
-      & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:
-            "Commits between WAL checkpoints (0 = never). A checkpoint \
-             logs the committed store image plus the undo journals of the \
-             in-flight transactions and truncates everything older, so \
-             the log stays bounded however long the run.")
-  in
-  let history_arg =
-    Arg.(
-      value & opt (some bool) None
-      & info [ "history" ] ~docv:"BOOL"
-          ~doc:
-            "Keep the full engine trace and run the post-run oracle over \
-             it. Defaults to true up to 65536 transactions (and for \
-             --duration runs), false above — the out-of-core mode, where \
-             the attempt journal spills to disk and the online certifier \
-             ($(b,--certify)) carries the serializability verdict.")
-  in
-  Cmd.v
-    (Cmd.info "stress"
-       ~doc:
-         "Drive the engines with concurrent worker domains and check the \
-          recorded history with the serializability oracle.")
-    Term.(
-      const stress $ workers_arg $ level_arg $ levels_spec_arg $ mix_arg
-      $ txns_arg $ duration_arg $ accounts_arg $ hot_arg $ ops_arg $ think_arg
-      $ seed_arg $ fuw_arg $ stripes_arg $ coarse_arg $ oracle_window_arg
-      $ certify_arg $ wal_dir_arg $ checkpoint_arg $ history_arg $ json_arg
-      $ trace_arg $ telemetry_arg)
-
-(* {2 chaos — stress under deterministic fault injection} *)
-
-let chaos workers level levels_spec mix_name txns accounts hot ops think seed
-    fuw stripes coarse oracle_window certify faults stall_us deadline_ms
-    watchdog_ms crash_points crash_sample json_path trace_path =
-  let mix =
-    match Workload.Generators.mix_of_string mix_name with
-    | Some m -> m
-    | None ->
-      Fmt.epr "unknown mix %S; available: %s@." mix_name
-        (String.concat ", "
-           (List.map Workload.Generators.mix_name Workload.Generators.all_mixes));
-      exit 1
-  in
-  if faults < 0. || faults > 1. then begin
-    Fmt.epr "--faults must be in [0, 1]@.";
-    exit 1
-  end;
-  (* --levels: same mixed-isolation shape as stress — one engine family
-     (weight plurality), per-transaction declared levels, the mixed
-     criterion for the verdict. *)
-  let lmix = Option.map mix_spec_or_exit levels_spec in
-  let lfam = Option.map Workload.Mix.family lmix in
-  let criterion =
-    if lmix = None then Runtime.Certifier.Serializability
-    else Runtime.Certifier.Mixed
-  in
-  let gen i =
-    let p =
-      Workload.Generators.stress_program mix ~seed ~accounts ~hot ~ops ~index:i
-    in
-    match (lmix, lfam) with
-    | Some m, Some fam ->
-      let declared = Workload.Mix.draw m ~seed ~index:i in
-      Runtime.Pool.job ~name:p.Core.Program.name ~declared
-        ~level:(Isolation.Lattice.strengthen declared fam)
-        p
-    | _ -> Runtime.Pool.job ~name:p.Core.Program.name ~level p
-  in
-  let sink =
-    match trace_path with
-    | None -> None
-    | Some _ -> Some (Trace.Sink.create ~workers:(max 1 workers) ())
-  in
-  let plan =
-    if faults <= 0. then None
-    else
-      (* Stalls must fit inside the deadline budget, or every stalled
-         attempt blows its deadline and the run never drains. *)
-      let stall_us =
-        match (stall_us, deadline_ms) with
-        | Some us, _ -> us
-        | None, Some d -> Float.min 2000. (d *. 1000. /. 4.)
-        | None, None -> 2000.
-      in
-      Some (Fault.Plan.chaos ~stall_us ~rate:faults ~seed ())
-  in
-  let initial = Workload.Generators.bank_accounts accounts in
-  let stop = drain_on_sigint () in
-  let cfg =
-    Runtime.Pool.config ~workers ~initial ~first_updater_wins:fuw ~stripes
-      ~coarse ?oracle_window ~certify ~criterion ?family:lfam ~think_us:think
-      ~seed ?trace:sink ?fault:plan
-      ?deadline_us:(Option.map (fun ms -> ms *. 1000.) deadline_ms)
-      ?watchdog_us:(Option.map (fun ms -> ms *. 1000.) watchdog_ms)
-      ~stop ()
-  in
-  Format.printf
-    "chaos: %d workers, %s, mix %s, %d transactions, fault rate %g, \
-     %s deadline, %s watchdog, seed %d@."
-    cfg.Runtime.Pool.workers
-    (match lmix with
-    | Some m -> "levels " ^ Workload.Mix.to_string m ^ " (mixed criterion)"
-    | None -> "level " ^ L.name level)
-    (Workload.Generators.mix_name mix)
-    txns faults
-    (match deadline_ms with
-    | Some d -> Printf.sprintf "%.1fms" d
-    | None -> "no")
-    (match watchdog_ms with
-    | Some w -> Printf.sprintf "%.1fms" w
-    | None -> "no")
-    seed;
-  let r = Runtime.Pool.run cfg (Array.init txns gen) in
-  let m = r.Runtime.Pool.metrics in
-  Format.printf "%a@." Runtime.Metrics.pp m;
-  (match plan with
-  | Some p ->
-    Format.printf "faults injected: %d (%s)@." (Fault.Plan.total p)
-      (String.concat ", "
-         (List.map
-            (fun (k, n) -> Printf.sprintf "%s %d" k n)
-            (Fault.Plan.injected p)))
-  | None -> Format.printf "faults injected: none (rate 0)@.");
-  let oracle = (Option.get r.Runtime.Pool.oracle) in
-  Format.printf "%a@." Runtime.Oracle.pp oracle;
-  Format.printf "oracle verdict: %s@."
-    (if Runtime.Oracle.pattern_free oracle then
-       "CLEAN (no anomalies, no phenomenon patterns)"
-     else if Runtime.Oracle.clean oracle then
-       "CLEAN (serializable; pattern templates admitted, as a non-locking \
-        scheduler may)"
-     else if Runtime.Oracle.anomalies oracle = [] then
-       "NOT SERIALIZABLE (dependency cycle outside the named anomaly \
-        templates)"
-     else "ANOMALIES DETECTED");
-  (match r.Runtime.Pool.mixed with
-  | Some mx -> Format.printf "%a@." Runtime.Oracle.pp_mixed mx
-  | None -> ());
-  (match r.Runtime.Pool.certifier with
-  | Some s ->
-    Format.printf "%a@." Runtime.Certifier.pp_summary s;
-    List.iteri
-      (fun i v ->
-        if i < 5 then
-          Format.printf "  %a@." Runtime.Certifier.pp_violation v)
-      s.Runtime.Certifier.violations
-  | None -> ());
-  (* Conservation check: the surviving store must equal a replay of the
-     WAL's committed transactions over the initial state — no committed
-     effect lost, none duplicated, nothing from an aborted attempt. The
-     locking and timestamp engines replay single-version records; the
-     multiversion engine replays the versioned record set and compares
-     latest visible rows. *)
-  let family =
-    match lfam with
-    | Some f -> f
-    | None -> Core.Engine.family_of_levels [ level ]
-  in
-  let initial_store = Storage.Store.of_list initial in
-  let effects_ok =
-    match r.Runtime.Pool.wal with
-    | None -> None
-    | Some wal ->
-      let ok =
-        match family with
-        | `Mv ->
-          let ideal = Storage.Recovery.ideal_mv ~initial wal in
-          List.sort compare (Storage.Version_store.to_latest_list ideal)
-          = List.sort compare r.Runtime.Pool.final
-        | `Locking | `Timestamp ->
-          let ideal = Storage.Recovery.ideal_state ~initial:initial_store wal in
-          Storage.Store.equal (Storage.Store.of_list r.Runtime.Pool.final) ideal
-      in
-      Format.printf "committed effects: %s@."
-        (if ok then "CONSERVED (final state = committed WAL replay)"
-         else "LOST OR DUPLICATED (final state differs from committed WAL \
-               replay)");
-      Some ok
-  in
-  (* P0-free levels must recover at every crash point; a Degree 0 run
-     admitting dirty writes is *expected* to fail somewhere — that is the
-     paper's §3 argument made executable. *)
-  (* With a mix, the crash assertion only applies if *every* declared
-     level forbids P0: one Degree-0 transaction in the mix already makes
-     unrecoverable crash points the expected finding. *)
-  let p0_free =
-    match lmix with
-    | Some m ->
-      List.for_all
-        (fun l -> List.mem P.P0 (Isolation.Spec.forbidden l))
-        (Workload.Mix.levels m)
-    | None -> List.mem P.P0 (Isolation.Spec.forbidden level)
-  in
-  let crash_report =
-    match (crash_points, r.Runtime.Pool.wal) with
-    | false, _ -> None
-    | true, None -> None (* unreachable: every family logs *)
-    | true, Some wal ->
-      let report =
-        match family with
-        | `Mv ->
-          Fault.Crash.enumerate_mv ?sample:crash_sample ~seed ~initial wal
-        | `Locking | `Timestamp ->
-          Fault.Crash.enumerate ?sample:crash_sample ~seed
-            ~initial:initial_store wal
-      in
-      Format.printf "%a@." Fault.Crash.pp report;
-      if (not (Fault.Crash.ok report)) && not p0_free then
-        Format.printf
-          "  (expected: %s admits P0, so before-image undo is unsound — \
-           the paper's section 3 dilemma)@."
-          (match lmix with
-          | Some m -> "the mix " ^ Workload.Mix.to_string m
-          | None -> L.name level);
-      Some report
-  in
-  (match trace_path with
-  | Some path ->
-    (match (sink, crash_report) with
-    | Some s, Some rep ->
-      Trace.Sink.emit_external s ~worker:0 ~tid:0
-        (Trace.Event.Crash_replay
-           {
-             points = rep.Fault.Crash.points + rep.Fault.Crash.torn_points;
-             torn = rep.Fault.Crash.torn_points;
-             failures = List.length rep.Fault.Crash.failures;
-           })
-    | _ -> ());
-    let events =
-      match sink with Some s -> Trace.Sink.events s | None -> r.Runtime.Pool.events
-    in
-    let tmeta =
-      Trace.Chrome.meta ~tool:"isolation_lab chaos"
-        ~level:
-          (match lmix with
-          | Some m -> Workload.Mix.to_string m
-          | None -> L.name level)
-        ~mix:(Workload.Generators.mix_name mix) ~workers ~seed
-        ~history:(Trace.Render.history_line r.Runtime.Pool.history)
-        ~dropped:r.Runtime.Pool.events_dropped ()
-    in
-    Trace.Chrome.write_file path tmeta events;
-    Format.printf "trace: %d events (%d dropped) written to %s@."
-      (List.length events) r.Runtime.Pool.events_dropped path
-  | None -> ());
-  (match json_path with
-  | Some path ->
-    let fault_json =
-      match plan with
-      | None -> "{}"
-      | Some p ->
-        Printf.sprintf "{%s}"
-          (String.concat ","
-             (List.map
-                (fun (k, n) -> Printf.sprintf "%S:%d" k n)
-                (Fault.Plan.injected p)))
-    in
-    let chaos_json =
-      Printf.sprintf
-        "{\"fault_rate\":%g,\"faults_injected\":%d,\"by_class\":%s,\"deadline_exceeded\":%d,\"watchdog_kicks\":%d,\"effects_ok\":%s,\"crash_points\":%s}"
-        faults m.Runtime.Metrics.faults_injected fault_json
-        m.Runtime.Metrics.deadline_exceeded m.Runtime.Metrics.watchdog_kicks
-        (match effects_ok with
-        | Some b -> string_of_bool b
-        | None -> "null")
-        (match crash_report with
-        | Some rep -> Fault.Crash.to_json rep
-        | None -> "null")
-    in
-    let certifier_json =
-      match r.Runtime.Pool.certifier with
-      | None -> ""
-      | Some s -> ",\"certifier\":" ^ Runtime.Certifier.to_json s
-    in
-    let json =
-      Printf.sprintf
-        "{\"level\":%S,\"mix\":%S,\"workers\":%d,\"metrics\":%s,\"memory\":%s,\"oracle\":%s%s%s,\"chaos\":%s}"
-        (match lmix with
-        | Some mx -> Workload.Mix.to_string mx
-        | None -> L.name level)
-        (Workload.Generators.mix_name mix)
-        workers
-        (Runtime.Metrics.to_json m)
-        (Runtime.Sysmem.to_json (Runtime.Sysmem.read ()))
-        (Runtime.Oracle.to_json oracle)
-        (match r.Runtime.Pool.mixed with
-        | Some mx -> ",\"mixed\":" ^ Runtime.Oracle.mixed_to_json mx
-        | None -> "")
-        certifier_json chaos_json
-    in
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc json;
-        Out_channel.output_string oc "\n");
-    Format.printf "metrics written to %s@." path
-  | None -> ());
-  (* Failure conditions: a serializable-level oracle violation, lost or
-     duplicated committed effects, or a crash point a P0-free level
-     failed to recover from. Degree 0 crash failures are the expected
-     finding, not an error. *)
-  let oracle_ok =
-    match lmix with
-    | Some _ ->
-      (* Under a mixed criterion, single-level assertions do not apply:
-         harm is judged per victim and only enforced by --certify. *)
-      true
-    | None -> (
-      match level with
-      | L.Serializable -> Runtime.Oracle.pattern_free oracle
-      | L.Serializable_snapshot | L.Timestamp_ordering ->
-        Runtime.Oracle.clean oracle
-      | _ -> true)
-  in
-  let effects_fine = match effects_ok with Some false -> false | _ -> true in
-  let crash_fine =
-    match crash_report with
-    | Some rep when p0_free -> Fault.Crash.ok rep
-    | _ -> true
-  in
-  let certify_ok =
-    (not certify)
-    ||
-    match criterion with
-    | Runtime.Certifier.Mixed -> (
-      match r.Runtime.Pool.certifier with
-      | Some s -> s.Runtime.Certifier.mixed_ok
-      | None -> oracle.Runtime.Oracle.serializable)
-    | Runtime.Certifier.Serializability -> oracle.Runtime.Oracle.serializable
-  in
-  if not (oracle_ok && effects_fine && crash_fine && certify_ok) then exit 1
-
-let chaos_cmd =
-  let workers_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "w"; "workers" ] ~docv:"N" ~doc:"Worker domains.")
-  in
-  let mix_arg =
-    Arg.(
-      value & opt string "hotspot"
-      & info [ "m"; "mix" ] ~docv:"MIX"
-          ~doc:"Workload mix: transfer, hotspot, read-heavy, mixed.")
-  in
-  let txns_arg =
-    Arg.(
-      value & opt int 128
-      & info [ "n"; "txns" ] ~docv:"N" ~doc:"Transactions to run.")
-  in
-  let accounts_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "accounts" ] ~docv:"N" ~doc:"Rows in the bank table.")
-  in
-  let hot_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "hot" ] ~docv:"N"
-          ~doc:"Size of the contended key set for the hotspot mix.")
-  in
-  let ops_arg =
-    Arg.(
-      value & opt int 6
-      & info [ "ops" ] ~docv:"N" ~doc:"Operations per mixed-mix transaction.")
-  in
-  let think_arg =
-    Arg.(
-      value & opt float 100.
-      & info [ "think" ] ~docv:"MICROSECONDS"
-          ~doc:"Mean think time between a transaction's statements.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Seeds the workload, the backoff jitter and every fault \
-             decision: the same seed injects the same faults at the same \
-             transactions regardless of interleaving.")
-  in
-  let fuw_arg =
-    Arg.(
-      value & flag
-      & info [ "first-updater-wins" ]
-          ~doc:"Use the First-Updater-Wins variant of Snapshot Isolation.")
-  in
-  let stripes_arg =
-    Arg.(
-      value & opt int Runtime.Pool.default_stripes
-      & info [ "stripes" ] ~docv:"N"
-          ~doc:"Key stripes for the striped execution path.")
-  in
-  let coarse_arg =
-    Arg.(
-      value & flag
-      & info [ "coarse" ] ~doc:"Serialize every engine step under one latch.")
-  in
-  let oracle_window_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "oracle-window" ] ~docv:"N"
-          ~doc:
-            "Run the post-run anomaly detectors over sliding N-transaction \
-             windows; serializability is still decided on the full history \
-             by an incremental-graph replay.")
-  in
-  let certify_arg =
-    Arg.(
-      value & flag
-      & info [ "certify" ]
-          ~doc:
-            "Certify serializability online: abort a transaction the moment \
-             one of its actions closes a dependency cycle. The run fails if \
-             the committed projection still has a cycle.")
-  in
   let faults_arg =
     Arg.(
-      value & opt float 0.05
+      value & opt float 0.
       & info [ "faults" ] ~docv:"RATE"
           ~doc:
-            "Fault rate in [0,1]: worker stalls and torn commits fire at \
-             RATE per injection point, spurious step failures and forced \
-             deadlock victims at RATE/2. 0 disables injection.")
+            "Deterministic seeded fault injection at RATE in [0,1]: worker \
+             stalls and torn commits fire at RATE per injection point, \
+             spurious step failures and forced deadlock victims at RATE/2. \
+             0 (the default) disables injection. Above 0 the run also \
+             checks that committed effects are conserved (final state = \
+             committed WAL replay) and adds a chaos section to the JSON.")
   in
   let stall_us_arg =
     Arg.(
@@ -1287,11 +1041,11 @@ let chaos_cmd =
   in
   let watchdog_arg =
     Arg.(
-      value & opt (some float) (Some 25.)
+      value & opt (some float) None
       & info [ "watchdog-ms" ] ~docv:"MS"
           ~doc:
             "Stuck-worker threshold for the watchdog domain (report-only). \
-             Default 25ms; pass 0 to disable.")
+             Default 25ms with $(b,--faults), off otherwise; 0 disables.")
   in
   let crash_points_arg =
     Arg.(
@@ -1301,7 +1055,10 @@ let chaos_cmd =
             "After the run, replay recovery at every WAL prefix and every \
              torn mid-record tail, checking each crash image against the \
              committed-only ideal state (single-version engines) or the \
-             committed-stamped version store (multiversion family).")
+             committed-stamped version store (multiversion family). A \
+             level that forbids P0 must recover everywhere; Degree 0 is \
+             expected to show UNSOUND points. Also runs the \
+             committed-effects check.")
   in
   let crash_sample_arg =
     Arg.(
@@ -1315,44 +1072,33 @@ let chaos_cmd =
              --seed. Turns the O(n^2) exhaustive replay into O(N n) for \
              long logs.")
   in
-  let json_arg =
+  let telemetry_arg =
     Arg.(
       value & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
+      & info [ "telemetry" ] ~docv:"FILE"
           ~doc:
-            "Also write metrics, the oracle verdict and the chaos section \
-             (fault counts, effects conservation, crash-point report) as \
-             JSON.")
-  in
-  let trace_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Record the structured event trace — including fault_inject, \
-             deadline_exceeded, watchdog and crash_replay events — as \
-             Chrome trace_event JSON.")
-  in
-  let watchdog_term =
-    Term.(
-      const (fun w -> match w with Some t when t <= 0. -> None | w -> w)
-      $ watchdog_arg)
+            "Scrape the live runtime once a second while the run is in \
+             flight and append each reading as a Prometheus text-format \
+             block (separated by $(b,# scrape) timestamp comments) — a \
+             time series of the run, not just its final totals.")
   in
   Cmd.v
-    (Cmd.info "chaos"
+    (Cmd.info "stress"
        ~doc:
-         "Stress the engines under deterministic seeded fault injection — \
+         "Drive the engines with concurrent worker domains and check the \
+          recorded history with the serializability oracle. With \
+          $(b,--faults) the run injects deterministic seeded faults — \
           worker stalls, spurious failures, forced deadlock victims, torn \
-          WAL commits, transaction deadlines — then check that the oracle \
-          is clean, committed effects are conserved, and (with \
-          $(b,--crash-points)) recovery succeeds at every crash point.")
+          WAL commits — and checks that committed effects are conserved; \
+          with $(b,--crash-points) recovery must succeed at every crash \
+          point.")
     Term.(
-      const chaos $ workers_arg $ level_arg $ levels_spec_arg $ mix_arg
-      $ txns_arg
-      $ accounts_arg $ hot_arg $ ops_arg $ think_arg $ seed_arg $ fuw_arg
-      $ stripes_arg $ coarse_arg $ oracle_window_arg $ certify_arg
-      $ faults_arg $ stall_us_arg $ deadline_arg $ watchdog_term
-      $ crash_points_arg $ crash_sample_arg $ json_arg $ trace_arg)
+      const stress $ workers_arg $ level_arg $ levels_spec_arg $ mix_arg
+      $ txns_arg $ duration_arg $ accounts_arg $ hot_arg $ ops_arg $ think_arg
+      $ seed_arg $ fuw_arg $ stripes_arg $ coarse_arg $ oracle_window_arg
+      $ certify_arg $ wal_dir_arg $ checkpoint_arg $ history_arg $ faults_arg
+      $ stall_us_arg $ deadline_arg $ watchdog_arg $ crash_points_arg
+      $ crash_sample_arg $ json_arg $ trace_arg $ telemetry_arg)
 
 (* {2 explain — re-render a recorded trace} *)
 
@@ -1626,12 +1372,6 @@ let serve workers family_str level criterion_str port host accounts stripes
   if certify && not certified_ok then exit 1
 
 let serve_cmd =
-  let workers_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "w"; "workers" ] ~docv:"N"
-          ~doc:"Worker domains pumping sessions (sessions may far exceed N).")
-  in
   let family_arg =
     Arg.(
       value & opt string "locking"
@@ -1666,30 +1406,6 @@ let serve_cmd =
       value & opt string "127.0.0.1"
       & info [ "host" ] ~docv:"ADDR" ~doc:"Listen address.")
   in
-  let accounts_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "accounts" ] ~docv:"N" ~doc:"Rows in the initial bank table.")
-  in
-  let stripes_arg =
-    Arg.(
-      value & opt int Runtime.Pool.default_stripes
-      & info [ "stripes" ] ~docv:"N" ~doc:"Key stripes (locking engines).")
-  in
-  let coarse_arg =
-    Arg.(
-      value & flag
-      & info [ "coarse" ] ~doc:"Single coarse latch instead of stripes.")
-  in
-  let certify_arg =
-    Arg.(
-      value & flag
-      & info [ "certify" ]
-          ~doc:
-            "Certify serializability online; doomed transactions abort \
-             before commit and the run fails if the committed projection \
-             has a cycle.")
-  in
   let certify_batch_arg =
     Arg.(
       value & opt bool true
@@ -1706,22 +1422,11 @@ let serve_cmd =
             "Sliding window for the post-run anomaly detectors (0 = whole \
              history; the default keeps long serving runs checkable).")
   in
-  let duration_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "d"; "duration" ] ~docv:"SECONDS"
-          ~doc:"Serve for this long, then drain (default: until SIGINT).")
-  in
   let drain_grace_arg =
     Arg.(
       value & opt float 2.0
       & info [ "drain-grace" ] ~docv:"SECONDS"
           ~doc:"Grace for in-flight transactions during shutdown.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Backoff-jitter and fault seed.")
   in
   let disconnect_arg =
     Arg.(
@@ -1732,20 +1437,6 @@ let serve_cmd =
              (deterministic, seeded): open transactions on the connection \
              abort and drain through client retry.")
   in
-  let trace_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Record the structured event trace (sessions, parks, engine \
-             steps) as Chrome trace_event JSON.")
-  in
-  let json_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write wire stats, metrics and the oracle verdict as JSON.")
-  in
   let telemetry_port_arg =
     Arg.(
       value & opt (some int) None
@@ -1755,30 +1446,6 @@ let serve_cmd =
              over HTTP on this port (0 picks one). The same snapshot \
              answers the wire protocol's STATS admin op — see \
              $(b,isolation_lab top).")
-  in
-  let wal_dir_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "wal-dir" ] ~docv:"DIR"
-          ~doc:
-            "Segmented on-disk WAL under DIR; commits group-commit their \
-             fsyncs (see $(b,isolation_lab stress)).")
-  in
-  let checkpoint_arg =
-    Arg.(
-      value & opt int 10_000
-      & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:"Commits between WAL checkpoints (0 = never).")
-  in
-  let history_arg =
-    Arg.(
-      value & opt (some bool) None
-      & info [ "history" ] ~docv:"BOOL"
-          ~doc:
-            "Keep the full engine trace for the shutdown oracle (default \
-             true). false is the out-of-core mode for long serving runs: \
-             no trace, journal spilled to disk, the online certifier \
-             ($(b,--certify)) carries the serializability verdict.")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1901,12 +1568,6 @@ let loadgen_cmd =
       value & opt int 10
       & info [ "n"; "txns" ] ~docv:"N" ~doc:"Transactions per session.")
   in
-  let mix_arg =
-    Arg.(
-      value & opt string "hotspot"
-      & info [ "m"; "mix" ] ~docv:"MIX"
-          ~doc:"Workload mix: transfer, hotspot, read-heavy, mixed.")
-  in
   let levels_arg =
     Arg.(
       value & opt string "rc"
@@ -1915,11 +1576,6 @@ let loadgen_cmd =
             "Weighted per-session isolation levels, comma-separated \
              level[=weight] (e.g. \"rc=1,serializable=1\"). Each session \
              draws one and declares it with SET LEVEL.")
-  in
-  let accounts_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "accounts" ] ~docv:"N" ~doc:"Rows in the bank table.")
   in
   let hot_arg =
     Arg.(
@@ -2260,7 +1916,7 @@ let main_cmd =
          "A laboratory for 'A Critique of ANSI SQL Isolation Levels' \
           (Berenson et al., SIGMOD 1995).")
     [ analyze_cmd; run_cmd; classify_cmd; scenario_cmd; stress_cmd;
-      chaos_cmd; serve_cmd; loadgen_cmd; top_cmd; explain_cmd; scenarios_cmd;
+      serve_cmd; loadgen_cmd; top_cmd; explain_cmd; scenarios_cmd;
       histories_cmd; levels_cmd; figure_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -61,6 +61,12 @@
      abort the victim ([Certifier_abort]), so the committed projection
      stays acyclic — anomalies are certified away, not merely observed.
 
+   - One step path: every transaction, a batch worker's job or a server
+     session's, runs through the step interface ([exec_begin],
+     [exec_step], [exec_stall_restart], [exec_finish]). The batch
+     runner is a client of it that sleeps a blocked step out in place;
+     the server parks the session instead.
+
    - Job dispatch is a lock-free ticket: Atomic.fetch_and_add over the
      job array (or the generator, for timed runs).
 
@@ -391,269 +397,9 @@ let with_aux_exclusion sh ~tid f =
   end
   else f ()
 
-(* One attempt at a job: begin a fresh transaction, drive every
-   operation through the engine (waiting out blocks), and report the
-   terminal status. *)
-let run_attempt sh cfg ~rng ~bo ~widx ~jidx ~attempt job =
-  let tid = Atomic.fetch_and_add sh.next_tid 1 in
-  let ops =
-    if Program.terminated job.program then job.program.Program.ops
-    else job.program.Program.ops @ [ Program.Commit ]
-  in
-  let start_ns = now_ns () in
-  let traced = sh.sink <> None in
-  let waited_ns = ref 0 in
-  (* Fault coordinates: the plan draws per (tid, step-consultation seq),
-     so a retried attempt (fresh tid) draws fresh decisions. *)
-  let nstep = ref 0 in
-  let deadline_at =
-    match cfg.deadline_us with
-    | Some us -> start_ns + int_of_float (us *. 1e3)
-    | None -> max_int
-  in
-  Atomic.set sh.hb_tid.(widx) tid;
-  Atomic.set sh.hb.(widx) start_ns;
-  emit sh ~tid
-    (Trace.Event.Attempt_begin
-       { job = jidx; name = job.name; attempt; level = Level.name job.declared });
-  with_aux_exclusion sh ~tid (fun () ->
-      Engine.begin_txn ~read_only:job.read_only sh.engine tid ~level:job.level);
-  (* Declare the level before the first action can reach the certifier:
-     under the mixed criterion the cycle judgment is victim-relative. *)
-  (match sh.certifier with
-  | Some c -> Certifier.note_level c ~tid ~level:job.declared
-  | None -> ());
-  Backoff.reset bo;
-  let rec exec = function
-    | [] -> ()
-    | op :: rest ->
-      let op_str = if traced then Fmt.str "%a" Program.pp_op op else "" in
-      let rec attempt_op tries =
-        Atomic.set sh.hb.(widx) (now_ns ());
-        let fault =
-          match cfg.fault with
-          | None -> None
-          | Some plan ->
-            let seq = !nstep in
-            incr nstep;
-            Fault.Plan.point plan ~tid (Fault.Plan.Step { seq })
-        in
-        (match fault with
-        | Some (Fault.Plan.Stall { us }) ->
-          (* Stall holding no stripes: the worker just goes dark, which
-             is what the deadline and the watchdog exist to notice — the
-             heartbeat is deliberately left stale for the duration. *)
-          Metrics.record_fault sh.metrics;
-          emit sh ~tid (Trace.Event.Fault_inject { klass = "stall" });
-          Unix.sleepf (us /. 1e6)
-        | _ -> ());
-        match fault with
-        | Some Fault.Plan.Step_fail ->
-          (* Spurious failure: abort here; the job retries. *)
-          Metrics.record_fault sh.metrics;
-          emit sh ~tid (Trace.Event.Fault_inject { klass = "step_fail" });
-          ignore (abort_self sh ~tid Engine.Fault_injected : Engine.abort_reason)
-        | Some Fault.Plan.Victim ->
-          (* Forced deadlock victim: same path a detector break takes. *)
-          Metrics.record_fault sh.metrics;
-          emit sh ~tid (Trace.Event.Fault_inject { klass = "victim" });
-          ignore (abort_self sh ~tid Engine.Deadlock_victim : Engine.abort_reason)
-        | _
-          when (match sh.certifier with
-               | Some c -> Certifier.doomed c tid
-               | None -> false) ->
-          (* The certifier doomed us for closing a dependency cycle:
-             abort before the next operation (in particular before a
-             commit), keeping the committed projection acyclic. *)
-          Metrics.record_certifier_abort ~level:job.declared sh.metrics;
-          ignore (abort_self sh ~tid Engine.Certifier_abort : Engine.abort_reason)
-        | _ when now_ns () > deadline_at -> (
-          (* Past the budget (blocked waits and injected stalls count):
-             graceful abort; the retry starts a fresh deadline window.
-             Count it only if the abort landed as ours — a concurrent
-             deadlock break may have terminated the transaction first,
-             and then its reason owns the accounting. *)
-          match abort_self sh ~tid Engine.Deadline_exceeded with
-          | Engine.Deadline_exceeded ->
-            Metrics.record_deadline_exceeded sh.metrics;
-            emit sh ~tid
-              (Trace.Event.Deadline_exceeded
-                 {
-                   elapsed_ns = now_ns () - start_ns;
-                   budget_ns = deadline_at - start_ns;
-                 })
-          | _ -> ())
-        | _ ->
-        emit sh ~tid (Trace.Event.Step_begin { op = op_str });
-        let plan = plan_for sh tid op in
-        acquire_plan sh ~tid plan;
-        let hpos0 = Engine.trace_len sh.engine in
-        let stepped =
-          match Engine.step sh.engine tid op with
-          | Engine.Progress ->
-            clear_waiting sh tid;
-            `Progress
-          | Engine.Finished ->
-            (* terminated from outside: deadlock victim *)
-            clear_waiting sh tid;
-            `Finished
-          | Engine.Blocked holders ->
-            Metrics.record_block sh.metrics;
-            (* Publish the edges while still holding the step's stripes,
-               so they reflect a completed step; the insertion itself
-               reports the cycle-closing edge, if any. *)
-            `Blocked (holders, set_waiting sh tid holders)
-        in
-        let hpos1 = Engine.trace_len sh.engine in
-        release_plan sh plan;
-        let outcome =
-          match stepped with
-          | (`Progress | `Finished) as o -> o
-          | `Blocked (holders, None) -> `Wait holders
-          | `Blocked (holders, Some path) -> (
-            match break_deadlock sh tid path with
-            | `Wait -> `Wait holders
-            | `Self_aborted -> `Self_aborted holders)
-        in
-        emit sh ~tid
-          (Trace.Event.Step_end
-             {
-               op = op_str;
-               outcome =
-                 (match outcome with
-                 | `Progress -> Trace.Event.Progress
-                 | `Finished -> Trace.Event.Finished
-                 | `Wait hs | `Self_aborted hs -> Trace.Event.Blocked hs);
-               hpos0;
-               hpos1;
-             });
-        match outcome with
-        | `Progress ->
-          Backoff.reset bo;
-          (* Think time between statements, slept holding no stripes:
-             the gap during which other workers interleave — without it
-             the stripe hand-off all but serializes short transactions
-             on hot keys. *)
-          if cfg.think_us > 0. && rest <> [] then
-            Unix.sleepf (Random.State.float rng (2. *. cfg.think_us) /. 1e6);
-          exec rest
-        | `Finished | `Self_aborted _ -> ()
-        | `Wait _ ->
-          if tries >= cfg.max_op_retries then begin
-            (* Starvation safety valve: restart rather than wait forever.
-               The abort touches everything, so it takes every stripe. *)
-            let plan = all_plan sh in
-            acquire_plan sh ~tid plan;
-            Engine.abort_txn sh.engine tid;
-            clear_waiting sh tid;
-            release_plan sh plan;
-            Metrics.record_stall sh.metrics;
-            emit sh ~tid Trace.Event.Stall_restart
-          end
-          else begin
-            let t0 = now_ns () in
-            Backoff.wait bo;
-            let slept = now_ns () - t0 in
-            waited_ns := !waited_ns + slept;
-            Metrics.record_wait_ns sh.metrics slept;
-            emit sh ~tid (Trace.Event.Lock_wait { slept_ns = slept });
-            attempt_op (tries + 1)
-          end
-      in
-      attempt_op 0
-  in
-  exec ops;
-  (* The entry is already cleared by the last step; this sweep only
-     covers defensive corner cases (e.g. a program ending mid-wait). *)
-  clear_waiting sh tid;
-  let status =
-    with_aux_exclusion sh ~tid (fun () -> Engine.status sh.engine tid)
-  in
-  (* Group-commit durability point: the commit record was appended under
-     the commit's stripes; the fsync that makes it durable happens here,
-     holding no stripes, batched with every other worker waiting at the
-     same point ({!Core.Engine.wal_sync}). *)
-  if status = Engine.Committed then Engine.wal_sync sh.engine;
-  let finish_ns = now_ns () in
-  let outcome =
-    match status with
-    | Engine.Committed ->
-      Metrics.record_commit ~wait_ns:!waited_ns ~level:job.declared sh.metrics
-        ~latency_ns:(finish_ns - start_ns);
-      emit sh ~tid Trace.Event.Commit;
-      Recorder.Committed
-    | Engine.Aborted reason ->
-      Metrics.record_abort ~level:job.declared sh.metrics reason;
-      emit sh ~tid
-        (Trace.Event.Abort { reason = Metrics.abort_reason_slug reason });
-      Recorder.Aborted reason
-    | Engine.Active ->
-      raise (Stuck (Fmt.str "T%d still active after its program ended" tid))
-  in
-  Recorder.record sh.recorder ~job:jidx ~name:job.name ~level:job.declared ~tid
-    ~attempt ~worker:widx ~start_ns ~finish_ns outcome;
-  (* Everything the runtime will ever ask the engine about this tid has
-     been asked (the status read above; env reads happen mid-program);
-     release its slot so long runs don't retain every finished txn. The
-     MV/timestamp transaction tables only tolerate mutation under every
-     stripe, hence the aux exclusion (a no-op for the locking engine,
-     which serialises the call itself). *)
-  with_aux_exclusion sh ~tid (fun () -> Engine.forget sh.engine tid);
-  (outcome, tid, finish_ns - start_ns)
-
-(* Retry policy: user aborts are the program's own decision and final;
-   every system-initiated abort is retried until the budget runs out.
-   The restart backoff resets per job and keeps escalating across the
-   job's attempts — unlike the per-operation backoff, which resets on
-   every successful step. *)
-let run_job sh cfg ~rng ~bo ~rbo ~widx jidx job =
-  Backoff.reset rbo;
-  let rec go attempt =
-    let outcome, tid, wall_ns =
-      run_attempt sh cfg ~rng ~bo ~widx ~jidx ~attempt job
-    in
-    match outcome with
-    | Recorder.Committed | Recorder.Aborted Engine.User_abort -> ()
-    | Recorder.Aborted _ ->
-      (* The failed attempt's whole wall time is retry overhead, and so is
-         the restart backoff that follows it. *)
-      Metrics.record_retry_overhead_ns sh.metrics wall_ns;
-      if attempt >= cfg.max_attempts then Metrics.record_giveup sh.metrics
-      else begin
-        Metrics.record_retry sh.metrics;
-        let t0 = now_ns () in
-        Backoff.wait rbo;
-        let slept = now_ns () - t0 in
-        Metrics.record_retry_overhead_ns sh.metrics slept;
-        emit sh ~tid
-          (Trace.Event.Retry_backoff
-             { slept_ns = slept; next_attempt = attempt + 1 });
-        go (attempt + 1)
-      end
-  in
-  go 1
-
-let worker sh cfg ~next_job widx =
-  Option.iter (fun s -> Trace.Sink.attach s ~worker:widx) sh.sink;
-  let rng = Random.State.make [| cfg.seed; 0x90c0; widx |] in
-  let bo = Backoff.create ~rng cfg.backoff in
-  let rbo = Backoff.create ~rng cfg.retry_backoff in
-  let rec loop () =
-    match next_job () with
-    | None ->
-      (* Done: park the heartbeat so an idle worker is never mistaken
-         for a stuck one while the others drain. *)
-      Atomic.set sh.hb.(widx) max_int
-    | Some (jidx, job) ->
-      run_job sh cfg ~rng ~bo ~rbo ~widx jidx job;
-      loop ()
-  in
-  loop ()
-
 (* Build the shared execution state: engine, stripes, waits-for graph,
-   certifier/tear/lock hooks — everything both entry points (the batch
-   runner [run_with] and the server's parked-session [exec] interface)
-   need, up to and including [Metrics.start]. *)
+   certifier/tear/lock hooks — everything the step interface below
+   needs, up to and including [Metrics.start]. *)
 let make_shared (cfg : config) ~family =
   (* Only the locking engine is striped; the multiversion and timestamp
      engines stay single-threaded and run every step (and begin/status)
@@ -778,8 +524,8 @@ let make_shared (cfg : config) ~family =
   Metrics.start sh.metrics;
   sh
 
-(* Stop the clock and gather everything a finished run reports — the
-   tail shared by [run_with] and the server's [exec_finalize]. The trace
+(* Stop the clock and gather everything a finished run reports
+   ([exec_finalize], for batch runs and servers alike). The trace
    sink's per-worker rings and the recorder shards are drained here, so
    a drained shutdown keeps its tail events. *)
 let collect_result (cfg : config) sh =
@@ -851,8 +597,358 @@ let live_of_shared sh : live =
     history_len = Engine.trace_len sh.engine;
   }
 
+(* {2 The step interface}
+
+   Every transaction — a batch worker's job or a server session's — runs
+   through the functions below, one engine operation at a time: begin,
+   step (fault draw, certifier doom, deadline, stripe plan, engine step,
+   waits-for publication, deadlock break), stall restart, finish. A step
+   that blocks returns the wait to its caller instead of sleeping
+   through it: the batch worker ({!run_attempt}) sleeps in place, while
+   the server parks the session and serves runnable ones. The caller
+   owns the per-transaction bookkeeping — attempt numbers, backoff
+   state, the step sequence number, accumulated wait time — and feeds
+   it back in for the terminal accounting. *)
+
+type exec = { ecfg : config; esh : shared }
+
+type session_step =
+  | Session_progress
+  | Session_blocked of { holders : int list }
+  | Session_finished
+  | Session_aborted of Engine.abort_reason
+
+let exec_create (cfg : config) ~family = { ecfg = cfg; esh = make_shared cfg ~family }
+
+let exec_attach_worker t ~worker =
+  Option.iter (fun s -> Trace.Sink.attach s ~worker) t.esh.sink
+
+let exec_fresh_tid t = Atomic.fetch_and_add t.esh.next_tid 1
+let exec_env t ~tid = Engine.env t.esh.engine tid
+
+let exec_status t ~tid =
+  with_aux_exclusion t.esh ~tid (fun () -> Engine.status t.esh.engine tid)
+
+let heartbeat sh ~worker ~tid =
+  if worker >= 0 && worker < Array.length sh.hb then begin
+    Atomic.set sh.hb_tid.(worker) tid;
+    Atomic.set sh.hb.(worker) (now_ns ())
+  end
+
+let exec_begin ?declared t ~worker ~tid ~job ~name ~attempt ~level ~read_only =
+  let sh = t.esh in
+  let declared = Option.value declared ~default:level in
+  heartbeat sh ~worker ~tid;
+  emit sh ~tid
+    (Trace.Event.Attempt_begin
+       { job; name; attempt; level = Level.name declared });
+  with_aux_exclusion sh ~tid (fun () ->
+      Engine.begin_txn ~read_only sh.engine tid ~level);
+  (* Declare the level before the first action can reach the certifier:
+     under the mixed criterion the cycle judgment is victim-relative. *)
+  match sh.certifier with
+  | Some c -> Certifier.note_level c ~tid ~level:declared
+  | None -> ()
+
+let exec_step ?level t ~worker ~tid ~seq ~start_ns op =
+  let sh = t.esh and cfg = t.ecfg in
+  heartbeat sh ~worker ~tid;
+  (* Fault coordinates: the plan draws per (tid, step-consultation seq),
+     so a retried attempt (fresh tid) draws fresh decisions. *)
+  let fault =
+    match cfg.fault with
+    | None -> None
+    | Some plan -> Fault.Plan.point plan ~tid (Fault.Plan.Step { seq })
+  in
+  (match fault with
+  | Some (Fault.Plan.Stall { us }) ->
+    (* Stall holding no stripes: the worker just goes dark, which is
+       what the deadline and the watchdog exist to notice — the
+       heartbeat is deliberately left stale for the duration. *)
+    Metrics.record_fault sh.metrics;
+    emit sh ~tid (Trace.Event.Fault_inject { klass = "stall" });
+    Unix.sleepf (us /. 1e6)
+  | _ -> ());
+  let deadline_at =
+    match cfg.deadline_us with
+    | Some us -> start_ns + int_of_float (us *. 1e3)
+    | None -> max_int
+  in
+  match fault with
+  | Some Fault.Plan.Step_fail ->
+    (* Spurious failure: abort here; the caller retries. *)
+    Metrics.record_fault sh.metrics;
+    emit sh ~tid (Trace.Event.Fault_inject { klass = "step_fail" });
+    Session_aborted (abort_self sh ~tid Engine.Fault_injected)
+  | Some Fault.Plan.Victim ->
+    (* Forced deadlock victim: same path a detector break takes. *)
+    Metrics.record_fault sh.metrics;
+    emit sh ~tid (Trace.Event.Fault_inject { klass = "victim" });
+    Session_aborted (abort_self sh ~tid Engine.Deadlock_victim)
+  | _
+    when (match sh.certifier with
+         | Some c -> Certifier.doomed c tid
+         | None -> false) ->
+    (* The certifier doomed us for closing a dependency cycle: abort
+       before the next operation (in particular before a commit),
+       keeping the committed projection acyclic. *)
+    Metrics.record_certifier_abort ?level sh.metrics;
+    Session_aborted (abort_self sh ~tid Engine.Certifier_abort)
+  | _ when now_ns () > deadline_at ->
+    (* Past the budget (blocked waits and injected stalls count):
+       graceful abort; the retry starts a fresh deadline window. Count
+       it only if the abort landed as ours — a concurrent deadlock break
+       may have terminated the transaction first, and then its reason
+       owns the accounting. *)
+    let actual = abort_self sh ~tid Engine.Deadline_exceeded in
+    if actual = Engine.Deadline_exceeded then begin
+      Metrics.record_deadline_exceeded sh.metrics;
+      emit sh ~tid
+        (Trace.Event.Deadline_exceeded
+           {
+             elapsed_ns = now_ns () - start_ns;
+             budget_ns = deadline_at - start_ns;
+           })
+    end;
+    Session_aborted actual
+  | _ ->
+    let traced = sh.sink <> None in
+    let op_str = if traced then Fmt.str "%a" Program.pp_op op else "" in
+    emit sh ~tid (Trace.Event.Step_begin { op = op_str });
+    let plan = plan_for sh tid op in
+    acquire_plan sh ~tid plan;
+    let hpos0 = Engine.trace_len sh.engine in
+    let stepped =
+      match Engine.step sh.engine tid op with
+      | Engine.Progress ->
+        clear_waiting sh tid;
+        `Progress
+      | Engine.Finished ->
+        (* terminated from outside: deadlock victim *)
+        clear_waiting sh tid;
+        `Finished
+      | Engine.Blocked holders ->
+        Metrics.record_block sh.metrics;
+        (* Publish the edges while still holding the step's stripes, so
+           they reflect a completed step; the insertion itself reports
+           the cycle-closing edge, if any. *)
+        `Blocked (holders, set_waiting sh tid holders)
+    in
+    let hpos1 = Engine.trace_len sh.engine in
+    release_plan sh plan;
+    let outcome =
+      match stepped with
+      | (`Progress | `Finished) as o -> o
+      | `Blocked (holders, None) -> `Wait holders
+      | `Blocked (holders, Some path) -> (
+        match break_deadlock sh tid path with
+        | `Wait -> `Wait holders
+        | `Self_aborted -> `Self_aborted holders)
+    in
+    emit sh ~tid
+      (Trace.Event.Step_end
+         {
+           op = op_str;
+           outcome =
+             (match outcome with
+             | `Progress -> Trace.Event.Progress
+             | `Finished -> Trace.Event.Finished
+             | `Wait hs | `Self_aborted hs -> Trace.Event.Blocked hs);
+           hpos0;
+           hpos1;
+         });
+    (match outcome with
+    | `Progress -> Session_progress
+    | `Finished -> Session_finished
+    | `Self_aborted _ -> Session_aborted Engine.Deadlock_victim
+    | `Wait holders -> Session_blocked { holders })
+
+let exec_abort ?(reason = Engine.User_abort) t ~tid =
+  ignore (abort_self t.esh ~tid reason : Engine.abort_reason)
+
+(* The starvation safety valve: a transaction that exhausted its blocked
+   retries of one operation restarts rather than waits forever. The
+   abort touches everything, so it takes every stripe. *)
+let exec_stall_restart t ~tid =
+  let sh = t.esh in
+  let plan = all_plan sh in
+  acquire_plan sh ~tid plan;
+  Engine.abort_txn sh.engine tid;
+  clear_waiting sh tid;
+  release_plan sh plan;
+  Metrics.record_stall sh.metrics;
+  emit sh ~tid Trace.Event.Stall_restart
+
+let exec_family t = Engine.family t.esh.engine
+let exec_live t = live_of_shared t.esh
+
+let exec_finish t ~worker ~tid ~job ~name ~level ~attempt ~start_ns ~wait_ns =
+  let sh = t.esh in
+  (* The entry is already cleared by the last step; this sweep only
+     covers defensive corner cases (e.g. a program ending mid-wait). *)
+  clear_waiting sh tid;
+  let status =
+    with_aux_exclusion sh ~tid (fun () -> Engine.status sh.engine tid)
+  in
+  (* Group-commit durability point: the commit record was appended under
+     the commit's stripes; the fsync that makes it durable happens here,
+     holding no stripes, batched with every other transaction waiting at
+     the same point ({!Core.Engine.wal_sync}). *)
+  if status = Engine.Committed then Engine.wal_sync sh.engine;
+  let finish_ns = now_ns () in
+  let outcome =
+    match status with
+    | Engine.Committed ->
+      Metrics.record_commit ~wait_ns ~level sh.metrics
+        ~latency_ns:(finish_ns - start_ns);
+      emit sh ~tid Trace.Event.Commit;
+      Recorder.Committed
+    | Engine.Aborted reason ->
+      Metrics.record_abort ~level sh.metrics reason;
+      emit sh ~tid
+        (Trace.Event.Abort { reason = Metrics.abort_reason_slug reason });
+      Recorder.Aborted reason
+    | Engine.Active ->
+      raise (Stuck (Fmt.str "T%d still active after its program ended" tid))
+  in
+  Recorder.record sh.recorder ~job ~name ~level ~tid ~attempt ~worker
+    ~start_ns ~finish_ns outcome;
+  (* Everything the runtime will ever ask the engine about this tid has
+     been asked (the status read above; env reads happen mid-program);
+     release its slot so long runs don't retain every finished txn. The
+     MV/timestamp transaction tables only tolerate mutation under every
+     stripe, hence the aux exclusion (a no-op for the locking engine,
+     which serialises the call itself). *)
+  with_aux_exclusion sh ~tid (fun () -> Engine.forget sh.engine tid);
+  (outcome, finish_ns)
+
+let exec_note_wait t ~slept_ns =
+  Metrics.record_wait_ns t.esh.metrics slept_ns
+
+let exec_note_retry t ~wall_ns =
+  Metrics.record_retry_overhead_ns t.esh.metrics wall_ns;
+  Metrics.record_retry t.esh.metrics
+
+let exec_note_giveup t ~wall_ns =
+  Metrics.record_retry_overhead_ns t.esh.metrics wall_ns;
+  Metrics.record_giveup t.esh.metrics
+
+let exec_finalize t = collect_result t.ecfg t.esh
+
+(* {2 The batch runner}
+
+   A client of the step interface with its own worker domains: each
+   worker pulls jobs off a shared ticket and drives every attempt
+   through [exec_begin] / [exec_step] / [exec_finish], sleeping a
+   blocked step out in place. Think time, the retry policy and the
+   watchdog are batch-only. *)
+
+(* One attempt at a job: begin a fresh transaction, step every
+   operation (waiting out blocks), and report the terminal status. *)
+let run_attempt t ~rng ~bo ~widx ~jidx ~attempt job =
+  let cfg = t.ecfg in
+  let tid = exec_fresh_tid t in
+  let ops =
+    if Program.terminated job.program then job.program.Program.ops
+    else job.program.Program.ops @ [ Program.Commit ]
+  in
+  let start_ns = now_ns () in
+  exec_begin ~declared:job.declared t ~worker:widx ~tid ~job:jidx
+    ~name:job.name ~attempt ~level:job.level ~read_only:job.read_only;
+  Backoff.reset bo;
+  let waited_ns = ref 0 in
+  let seq = ref 0 in
+  let rec exec = function
+    | [] -> ()
+    | op :: rest ->
+      let rec attempt_op tries =
+        let s = !seq in
+        incr seq;
+        match
+          exec_step ~level:job.declared t ~worker:widx ~tid ~seq:s ~start_ns op
+        with
+        | Session_progress ->
+          Backoff.reset bo;
+          (* Think time between statements, slept holding no stripes:
+             the gap during which other workers interleave — without it
+             the stripe hand-off all but serializes short transactions
+             on hot keys. *)
+          if cfg.think_us > 0. && rest <> [] then
+            Unix.sleepf (Random.State.float rng (2. *. cfg.think_us) /. 1e6);
+          exec rest
+        | Session_finished | Session_aborted _ -> ()
+        | Session_blocked _ ->
+          if tries >= cfg.max_op_retries then exec_stall_restart t ~tid
+          else begin
+            let t0 = now_ns () in
+            Backoff.wait bo;
+            let slept = now_ns () - t0 in
+            waited_ns := !waited_ns + slept;
+            exec_note_wait t ~slept_ns:slept;
+            emit t.esh ~tid (Trace.Event.Lock_wait { slept_ns = slept });
+            attempt_op (tries + 1)
+          end
+      in
+      attempt_op 0
+  in
+  exec ops;
+  let outcome, finish_ns =
+    exec_finish t ~worker:widx ~tid ~job:jidx ~name:job.name
+      ~level:job.declared ~attempt ~start_ns ~wait_ns:!waited_ns
+  in
+  (outcome, tid, finish_ns - start_ns)
+
+(* Retry policy: user aborts are the program's own decision and final;
+   every system-initiated abort is retried until the budget runs out.
+   The restart backoff resets per job and keeps escalating across the
+   job's attempts — unlike the per-operation backoff, which resets on
+   every successful step. *)
+let run_job t ~rng ~bo ~rbo ~widx jidx job =
+  Backoff.reset rbo;
+  let rec go attempt =
+    let outcome, tid, wall_ns =
+      run_attempt t ~rng ~bo ~widx ~jidx ~attempt job
+    in
+    match outcome with
+    | Recorder.Committed | Recorder.Aborted Engine.User_abort -> ()
+    | Recorder.Aborted _ ->
+      (* The failed attempt's whole wall time is retry overhead, and so is
+         the restart backoff that follows it. *)
+      if attempt >= t.ecfg.max_attempts then exec_note_giveup t ~wall_ns
+      else begin
+        exec_note_retry t ~wall_ns;
+        let t0 = now_ns () in
+        Backoff.wait rbo;
+        let slept = now_ns () - t0 in
+        Metrics.record_retry_overhead_ns t.esh.metrics slept;
+        emit t.esh ~tid
+          (Trace.Event.Retry_backoff
+             { slept_ns = slept; next_attempt = attempt + 1 });
+        go (attempt + 1)
+      end
+  in
+  go 1
+
+let worker t ~next_job widx =
+  let cfg = t.ecfg in
+  exec_attach_worker t ~worker:widx;
+  let rng = Random.State.make [| cfg.seed; 0x90c0; widx |] in
+  let bo = Backoff.create ~rng cfg.backoff in
+  let rbo = Backoff.create ~rng cfg.retry_backoff in
+  let rec loop () =
+    match next_job () with
+    | None ->
+      (* Done: park the heartbeat so an idle worker is never mistaken
+         for a stuck one while the others drain. *)
+      Atomic.set t.esh.hb.(widx) max_int
+    | Some (jidx, job) ->
+      run_job t ~rng ~bo ~rbo ~widx jidx job;
+      loop ()
+  in
+  loop ()
+
 let run_with ?monitor (cfg : config) ~family ~next_job =
-  let sh = make_shared cfg ~family in
+  let t = exec_create cfg ~family in
   let stop_watchdog = Atomic.make false in
   let watchdog =
     match cfg.watchdog_us with
@@ -860,24 +956,25 @@ let run_with ?monitor (cfg : config) ~family ~next_job =
     | Some threshold_us ->
       Some
         (Domain.spawn (fun () ->
-             watchdog_loop sh ~stop:stop_watchdog ~threshold_us))
+             watchdog_loop t.esh ~stop:stop_watchdog ~threshold_us))
   in
   let spawned =
     List.init (cfg.workers - 1) (fun i ->
-        Domain.spawn (fun () -> worker sh cfg ~next_job (i + 1)))
+        Domain.spawn (fun () -> worker t ~next_job (i + 1)))
   in
   (* Hand the caller a live sampler before this domain becomes worker 0;
      the callback must return promptly (spawn a thread to poll). *)
   (match monitor with
   | None -> ()
-  | Some f -> f (fun () -> live_of_shared sh));
+  | Some f -> f (fun () -> exec_live t));
   (* The calling domain is worker 0; join the rest even if it trips. *)
-  let mine = try Ok (worker sh cfg ~next_job 0) with e -> Error e in
+  let mine = try Ok (worker t ~next_job 0) with e -> Error e in
   List.iter Domain.join spawned;
   Atomic.set stop_watchdog true;
   Option.iter Domain.join watchdog;
   (match mine with Ok () -> () | Error e -> raise e);
-  collect_result cfg sh
+  exec_finalize t
+
 
 (* Family inference prefers the declared mix ([cfg.levels]) over the
    jobs in hand: a generator-mode run materializes one job at a time, so
@@ -936,218 +1033,3 @@ let run_for ?monitor cfg ~duration_s ~gen =
       Some (i, gen i)
   in
   run_with cfg ?monitor ~family ~next_job
-
-(* {2 Parked, resumable transactions — the server's entry points}
-
-   The batch runner above owns its workers: a blocked operation sleeps
-   its worker in [Backoff.wait] and retries in place. A network server
-   multiplexing thousands of sessions over a fixed pool cannot afford
-   that — a session that blocks must *park*, freeing the worker for
-   runnable sessions, and retry when its backoff expires. [exec] exposes
-   exactly one engine step at a time for that caller: same stripe plans,
-   same waits-for publication and deadlock break, same fault / certifier
-   / deadline consultations as [run_attempt], but the "wait" outcome is
-   returned to the caller instead of being slept through. The session
-   layer owns the per-transaction bookkeeping the batch runner keeps on
-   its stack (attempt counts, per-session backoff state, accumulated
-   wait time) and feeds it back in for the terminal accounting. *)
-
-type exec = { ecfg : config; esh : shared }
-
-type session_step =
-  | Session_progress
-  | Session_blocked of { holders : int list }
-  | Session_finished
-  | Session_aborted of Engine.abort_reason
-
-let exec_create (cfg : config) ~family = { ecfg = cfg; esh = make_shared cfg ~family }
-
-let exec_attach_worker t ~worker =
-  Option.iter (fun s -> Trace.Sink.attach s ~worker) t.esh.sink
-
-let exec_fresh_tid t = Atomic.fetch_and_add t.esh.next_tid 1
-let exec_env t ~tid = Engine.env t.esh.engine tid
-
-let exec_status t ~tid =
-  with_aux_exclusion t.esh ~tid (fun () -> Engine.status t.esh.engine tid)
-
-let heartbeat sh ~worker ~tid =
-  if worker >= 0 && worker < Array.length sh.hb then begin
-    Atomic.set sh.hb_tid.(worker) tid;
-    Atomic.set sh.hb.(worker) (now_ns ())
-  end
-
-let exec_begin ?declared t ~worker ~tid ~job ~name ~attempt ~level ~read_only =
-  let sh = t.esh in
-  let declared = Option.value declared ~default:level in
-  heartbeat sh ~worker ~tid;
-  emit sh ~tid
-    (Trace.Event.Attempt_begin
-       { job; name; attempt; level = Level.name declared });
-  with_aux_exclusion sh ~tid (fun () ->
-      Engine.begin_txn ~read_only sh.engine tid ~level);
-  match sh.certifier with
-  | Some c -> Certifier.note_level c ~tid ~level:declared
-  | None -> ()
-
-let exec_step ?level t ~worker ~tid ~seq ~start_ns op =
-  let sh = t.esh and cfg = t.ecfg in
-  heartbeat sh ~worker ~tid;
-  let fault =
-    match cfg.fault with
-    | None -> None
-    | Some plan -> Fault.Plan.point plan ~tid (Fault.Plan.Step { seq })
-  in
-  (match fault with
-  | Some (Fault.Plan.Stall { us }) ->
-    (* Stalls sleep the serving worker in place: a dark worker is what
-       the deadline and watchdog exist to notice, sessions included. *)
-    Metrics.record_fault sh.metrics;
-    emit sh ~tid (Trace.Event.Fault_inject { klass = "stall" });
-    Unix.sleepf (us /. 1e6)
-  | _ -> ());
-  let deadline_at =
-    match cfg.deadline_us with
-    | Some us -> start_ns + int_of_float (us *. 1e3)
-    | None -> max_int
-  in
-  match fault with
-  | Some Fault.Plan.Step_fail ->
-    Metrics.record_fault sh.metrics;
-    emit sh ~tid (Trace.Event.Fault_inject { klass = "step_fail" });
-    Session_aborted (abort_self sh ~tid Engine.Fault_injected)
-  | Some Fault.Plan.Victim ->
-    Metrics.record_fault sh.metrics;
-    emit sh ~tid (Trace.Event.Fault_inject { klass = "victim" });
-    Session_aborted (abort_self sh ~tid Engine.Deadlock_victim)
-  | _
-    when (match sh.certifier with
-         | Some c -> Certifier.doomed c tid
-         | None -> false) ->
-    Metrics.record_certifier_abort ?level sh.metrics;
-    Session_aborted (abort_self sh ~tid Engine.Certifier_abort)
-  | _ when now_ns () > deadline_at ->
-    (* As in the batch path: a concurrent deadlock break may land its
-       abort first, and then its reason owns the accounting. *)
-    let actual = abort_self sh ~tid Engine.Deadline_exceeded in
-    if actual = Engine.Deadline_exceeded then begin
-      Metrics.record_deadline_exceeded sh.metrics;
-      emit sh ~tid
-        (Trace.Event.Deadline_exceeded
-           {
-             elapsed_ns = now_ns () - start_ns;
-             budget_ns = deadline_at - start_ns;
-           })
-    end;
-    Session_aborted actual
-  | _ ->
-    let traced = sh.sink <> None in
-    let op_str = if traced then Fmt.str "%a" Program.pp_op op else "" in
-    emit sh ~tid (Trace.Event.Step_begin { op = op_str });
-    let plan = plan_for sh tid op in
-    acquire_plan sh ~tid plan;
-    let hpos0 = Engine.trace_len sh.engine in
-    let stepped =
-      match Engine.step sh.engine tid op with
-      | Engine.Progress ->
-        clear_waiting sh tid;
-        `Progress
-      | Engine.Finished ->
-        clear_waiting sh tid;
-        `Finished
-      | Engine.Blocked holders ->
-        Metrics.record_block sh.metrics;
-        `Blocked (holders, set_waiting sh tid holders)
-    in
-    let hpos1 = Engine.trace_len sh.engine in
-    release_plan sh plan;
-    let outcome =
-      match stepped with
-      | (`Progress | `Finished) as o -> o
-      | `Blocked (holders, None) -> `Wait holders
-      | `Blocked (holders, Some path) -> (
-        match break_deadlock sh tid path with
-        | `Wait -> `Wait holders
-        | `Self_aborted -> `Self_aborted holders)
-    in
-    emit sh ~tid
-      (Trace.Event.Step_end
-         {
-           op = op_str;
-           outcome =
-             (match outcome with
-             | `Progress -> Trace.Event.Progress
-             | `Finished -> Trace.Event.Finished
-             | `Wait hs | `Self_aborted hs -> Trace.Event.Blocked hs);
-           hpos0;
-           hpos1;
-         });
-    (match outcome with
-    | `Progress -> Session_progress
-    | `Finished -> Session_finished
-    | `Self_aborted _ -> Session_aborted Engine.Deadlock_victim
-    | `Wait holders -> Session_blocked { holders })
-
-let exec_abort ?(reason = Engine.User_abort) t ~tid =
-  ignore (abort_self t.esh ~tid reason : Engine.abort_reason)
-
-(* The starvation safety valve, mirrored from [run_attempt]: a session
-   that exhausted its blocked retries of one operation aborts itself and
-   lets the client restart the transaction. *)
-let exec_stall_restart t ~tid =
-  let sh = t.esh in
-  let plan = all_plan sh in
-  acquire_plan sh ~tid plan;
-  Engine.abort_txn sh.engine tid;
-  clear_waiting sh tid;
-  release_plan sh plan;
-  Metrics.record_stall sh.metrics;
-  emit sh ~tid Trace.Event.Stall_restart
-
-let exec_family t = Engine.family t.esh.engine
-let exec_live t = live_of_shared t.esh
-
-let exec_finish t ~worker ~tid ~job ~name ~level ~attempt ~start_ns ~wait_ns =
-  let sh = t.esh in
-  clear_waiting sh tid;
-  let status =
-    with_aux_exclusion sh ~tid (fun () -> Engine.status sh.engine tid)
-  in
-  (* As in [run_attempt]: the committed session waits out its group-commit
-     fsync here, holding no stripes. *)
-  if status = Engine.Committed then Engine.wal_sync sh.engine;
-  let finish_ns = now_ns () in
-  let outcome =
-    match status with
-    | Engine.Committed ->
-      Metrics.record_commit ~wait_ns ~level sh.metrics
-        ~latency_ns:(finish_ns - start_ns);
-      emit sh ~tid Trace.Event.Commit;
-      Recorder.Committed
-    | Engine.Aborted reason ->
-      Metrics.record_abort ~level sh.metrics reason;
-      emit sh ~tid
-        (Trace.Event.Abort { reason = Metrics.abort_reason_slug reason });
-      Recorder.Aborted reason
-    | Engine.Active ->
-      raise (Stuck (Fmt.str "T%d still active after its session ended" tid))
-  in
-  Recorder.record sh.recorder ~job ~name ~level ~tid ~attempt ~worker
-    ~start_ns ~finish_ns outcome;
-  (* As in [run_attempt]: the session front-end reads env mid-transaction
-     and finishes last, so nothing will query this tid again. *)
-  with_aux_exclusion sh ~tid (fun () -> Engine.forget sh.engine tid);
-  outcome
-
-let exec_note_wait t ~slept_ns =
-  Metrics.record_wait_ns t.esh.metrics slept_ns
-
-let exec_note_retry t ~wall_ns =
-  Metrics.record_retry_overhead_ns t.esh.metrics wall_ns;
-  Metrics.record_retry t.esh.metrics
-
-let exec_note_giveup t ~wall_ns =
-  Metrics.record_retry_overhead_ns t.esh.metrics wall_ns;
-  Metrics.record_giveup t.esh.metrics
-
-let exec_finalize t = collect_result t.ecfg t.esh

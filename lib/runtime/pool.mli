@@ -17,13 +17,17 @@
     code path; the single-threaded multiversion and timestamp engines
     always run that way.
 
-    Blocked transactions sleep *outside* their stripes with capped
-    exponential backoff, so lock waits in the engine never idle the
-    other workers. The waits-for graph is a {!Graph.Incremental}: a
-    blocked worker publishes its edges under the step's stripes, and the
-    insertion that would close a cycle is rejected with its witness on
-    the spot — deadlock detection costs nothing while the graph stays
-    acyclic. The reporting worker confirms the witness under every
+    Every transaction runs through one step path, the step interface
+    below ({!exec_begin}, {!exec_step}, {!exec_stall_restart},
+    {!exec_finish}); the batch entry points ({!run}, {!run_n},
+    {!run_for}) are its clients, as is the wire server. Blocked batch
+    transactions sleep *outside* their stripes with capped exponential
+    backoff, so lock waits in the engine never idle the other workers.
+
+    The waits-for graph is a {!Graph.Incremental}: a blocked step
+    publishes its edges under its stripes, and the insertion that would
+    close a cycle is rejected with its witness on the spot — deadlock
+    detection costs nothing while the graph stays acyclic. The reporting worker confirms the witness under every
     stripe and aborts the youngest member, whose job restarts under a
     fresh transaction id. Aborted attempts (deadlock victim,
     First-Committer-Wins, serialization failure, timestamp too-late,
@@ -338,25 +342,25 @@ val run_for :
     seed a fresh [Random.State] from the index). With [config.family =
     None] the family is inferred from [gen 0]. [monitor] as in {!run}. *)
 
-(** {2 Parked, resumable transactions}
+(** {2 The step interface}
 
-    The batch entry points above sleep a blocked worker in place. A
-    server multiplexing sessions ≫ workers instead *parks* a blocked
-    session and serves runnable ones; this interface exposes the same
-    execution machinery — stripe plans, incremental waits-for graph and
+    The one path every transaction takes through the engine, one
+    operation at a time: stripe plans, incremental waits-for graph and
     deadlock break, fault / certifier / deadline consultation, metrics,
-    journal, trace — one engine step at a time, with the wait returned
-    to the caller rather than slept through. The caller (the session
-    scheduler in [lib/server]) owns per-transaction bookkeeping: attempt
-    numbers, backoff state ({!Backoff.next_us} gives the park delay),
-    accumulated wait time, and the step sequence number that addresses
-    fault-plan draws. *)
+    journal, trace. A blocked step returns the wait to its caller rather
+    than sleeping through it. The batch entry points above are clients
+    of this interface whose workers sleep a blocked step out in place; a
+    server multiplexing sessions ≫ workers instead *parks* the blocked
+    session and serves runnable ones. The caller (a batch worker, or the
+    session scheduler in [lib/server]) owns per-transaction bookkeeping:
+    attempt numbers, backoff state ({!Backoff.next_us} gives a park
+    delay), accumulated wait time, and the step sequence number that
+    addresses fault-plan draws. *)
 
 type exec
 (** A shared execution context: one engine plus the pool's concurrency
-    machinery, without the pool's own workers. Any thread or domain may
-    call into it; steps synchronize on the same stripes the batch
-    runner uses. *)
+    machinery, without worker domains of its own. Any thread or domain
+    may call into it; steps synchronize on the engine's stripes. *)
 
 (** One step's verdict, from the session's point of view. *)
 type session_step =
@@ -427,10 +431,12 @@ val exec_live : exec -> live
 val exec_finish :
   exec -> worker:int -> tid:int -> job:int -> name:string ->
   level:Isolation.Level.t -> attempt:int -> start_ns:int -> wait_ns:int ->
-  Recorder.outcome
+  Recorder.outcome * int
 (** Terminal accounting once the transaction's program (or its abort) is
-    done: reads the engine status, records commit/abort metrics and the
-    journal entry, emits the Commit/Abort event, returns the outcome.
+    done: reads the engine status, waits out a commit's group-commit
+    fsync, records commit/abort metrics and the journal entry, emits the
+    Commit/Abort event, and returns the outcome with the finish stamp
+    (ns, the clock of [start_ns]) its latency was measured to.
     @raise Stuck if the transaction is somehow still active. *)
 
 val exec_note_wait : exec -> slept_ns:int -> unit

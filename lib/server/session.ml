@@ -122,9 +122,10 @@ let finish_txn t ~worker (txn : txn) =
   t.txn <- None;
   t.pending <- None;
   t.txns <- t.txns + 1;
-  Pool.exec_finish t.exec ~worker ~tid:txn.tid ~job:t.gid ~name:txn.name
-    ~level:txn.level ~attempt:txn.attempt ~start_ns:txn.start_ns
-    ~wait_ns:txn.wait_ns
+  fst
+    (Pool.exec_finish t.exec ~worker ~tid:txn.tid ~job:t.gid ~name:txn.name
+       ~level:txn.level ~attempt:txn.attempt ~start_ns:txn.start_ns
+       ~wait_ns:txn.wait_ns)
 
 let outcome_response = function
   | Runtime.Recorder.Committed -> Protocol.Committed
