@@ -643,17 +643,6 @@ let run_ooc_cell ?(group_commit = true) ?(disk = false)
     oc_wal = wal_stats;
   }
 
-let wal_json (w : Wal.stats) =
-  Printf.sprintf
-    "{\"records\":%d,\"segments\":%d,\"disk_bytes\":%d,\"syncs\":%d,\
-     \"checkpoints\":%d,\"truncated_segments\":%d,\"batch_hist\":{%s}}"
-    w.Wal.w_records w.w_segments w.w_disk_bytes w.w_syncs w.w_checkpoints
-    w.w_truncated_segments
-    (String.concat ","
-       (List.map
-          (fun (le, n) -> Printf.sprintf "\"%d\":%d" le n)
-          w.w_batch_hist))
-
 let ooc_row_json r =
   Printf.sprintf
     "{\"txns\":%d,\"group_commit\":%b,\"txn_s\":%.1f,\"memory\":%s,\
@@ -663,7 +652,9 @@ let ooc_row_json r =
     (Sysmem.to_json r.oc_mem)
     r.oc_cert.Certifier.serializable r.oc_cert.Certifier.prune_passes
     r.oc_cert.Certifier.pruned_nodes r.oc_cert.Certifier.pruned_eras
-    (match r.oc_wal with None -> "null" | Some w -> wal_json w)
+    (match r.oc_wal with
+    | None -> "null"
+    | Some w -> Telemetry.Report.wal_json w)
 
 let outofcore () =
   Printf.printf

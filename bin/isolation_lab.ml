@@ -51,6 +51,15 @@ let mix_spec_or_exit spec =
     Fmt.epr "%s@." msg;
     exit 1
 
+let mix_or_exit name =
+  match Workload.Generators.mix_of_string name with
+  | Some m -> m
+  | None ->
+    Fmt.epr "unknown mix %S; available: %s@." name
+      (String.concat ", "
+         (List.map Workload.Generators.mix_name Workload.Generators.all_mixes));
+    exit 1
+
 let levels_spec_arg =
   Arg.(
     value
@@ -387,17 +396,28 @@ let scratch_dir label =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   dir
 
-let wal_json_of (w : Storage.Wal.stats) =
-  let hist =
-    String.concat ","
-      (List.map (fun (le, n) -> Printf.sprintf "\"%d\":%d" le n)
-         w.Storage.Wal.w_batch_hist)
-  in
-  Printf.sprintf
-    "{\"records\":%d,\"segments\":%d,\"disk_bytes\":%d,\"syncs\":%d,\"checkpoints\":%d,\"truncated_segments\":%d,\"batch_hist\":{%s}}"
-    w.Storage.Wal.w_records w.Storage.Wal.w_segments
-    w.Storage.Wal.w_disk_bytes w.Storage.Wal.w_syncs
-    w.Storage.Wal.w_checkpoints w.Storage.Wal.w_truncated_segments hist
+(* The flight recorder behind --trace, when one was asked for. *)
+let trace_sink ~workers = function
+  | None -> None
+  | Some _ -> Some (Trace.Sink.create ~workers:(max 1 workers) ())
+
+(* Each oracle witness mapped back onto the recorded interleaving. *)
+let print_provenance ~events ~history = function
+  | [] -> ()
+  | ws ->
+    Format.printf "@.anomaly provenance:@.";
+    List.iter
+      (fun w ->
+        Trace.Render.provenance ~events Format.std_formatter ~history w;
+        Format.printf "@.")
+      ws
+
+(* Write a report's JSON line to [path] and say so. *)
+let write_json path what json =
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc json;
+      Out_channel.output_string oc "\n");
+  Format.printf "%s written to %s@." what path
 
 (* Flags [stress] shares with [serve] (and [loadgen]), defined once. *)
 
@@ -499,6 +519,29 @@ let history_arg =
            online certifier ($(b,--certify)) carries the serializability \
            verdict.")
 
+(* Each command keeps its own default: 0 for stress, 64 for serve. *)
+let oracle_window_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "oracle-window" ] ~docv:"N"
+        ~doc:
+          "Run the post-run anomaly detectors over sliding N-transaction \
+           windows instead of the whole history; 0 means the whole history. \
+           Reports stay sound; counts become per-window lower bounds. \
+           Serializability is still decided on the full history by an \
+           incremental-graph replay, so cross-window cycles are never \
+           missed. A window makes long runs checkable.")
+
+(* The Pool.config window of an --oracle-window value. *)
+let oracle_window_of n = if n = 0 then None else Some n
+
+(* Where serve listens, and where loadgen and top connect. *)
+let host_arg doc =
+  Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc)
+
+let port_arg doc =
+  Arg.(value & opt int 7654 & info [ "p"; "port" ] ~docv:"PORT" ~doc)
+
 let json_arg =
   Arg.(
     value & opt (some string) None
@@ -520,15 +563,7 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
     think seed fuw stripes coarse oracle_window certify wal_dir
     checkpoint_every history faults stall_us deadline_ms watchdog_ms
     crash_points crash_sample json_path trace_path telemetry_path =
-  let mix =
-    match Workload.Generators.mix_of_string mix_name with
-    | Some m -> m
-    | None ->
-      Fmt.epr "unknown mix %S; available: %s@." mix_name
-        (String.concat ", "
-           (List.map Workload.Generators.mix_name Workload.Generators.all_mixes));
-      exit 1
-  in
+  let mix = mix_or_exit mix_name in
   if faults < 0. || faults > 1. then begin
     Fmt.epr "--faults must be in [0, 1]@.";
     exit 1
@@ -537,6 +572,11 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
      weight plurality) executes everything; each transaction keeps the
      level it declared and runs at its in-family strengthening. *)
   let lmix = Option.map mix_spec_or_exit levels_spec in
+  let level_label =
+    match lmix with
+    | Some m -> Workload.Mix.to_string m
+    | None -> L.name level
+  in
   let family =
     match lmix with
     | Some m -> Workload.Mix.family m
@@ -558,11 +598,7 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
         p
     | None -> Runtime.Pool.job ~name:p.Core.Program.name ~level p
   in
-  let sink =
-    match trace_path with
-    | None -> None
-    | Some _ -> Some (Trace.Sink.create ~workers:(max 1 workers) ())
-  in
+  let sink = trace_sink ~workers trace_path in
   let plan =
     if faults <= 0. then None
     else
@@ -603,8 +639,8 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
   in
   let cfg =
     Runtime.Pool.config ~workers ~initial ~first_updater_wins:fuw ~stripes
-      ~coarse ?oracle_window ~think_us:think ~seed ?trace:sink ~certify
-      ~criterion ~family ?fault:plan
+      ~coarse ?oracle_window:(oracle_window_of oracle_window) ~think_us:think
+      ~seed ?trace:sink ~certify ~criterion ~family ?fault:plan
       ?deadline_us:(Option.map (fun ms -> ms *. 1000.) deadline_ms)
       ?watchdog_us:(Option.map (fun ms -> ms *. 1000.) watchdog_ms)
       ?wal_dir ~checkpoint_every ~keep_history ?spill_dir ~stop ()
@@ -626,9 +662,8 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
     "stress: %d workers, %s, mix %s, %s, %d accounts (%d hot), think \
      %.0fus, seed %d, %s%s@."
     cfg.Runtime.Pool.workers
-    (match lmix with
-    | Some m -> "levels " ^ Workload.Mix.to_string m ^ " (mixed criterion)"
-    | None -> "level " ^ L.name level)
+    (if lmix = None then "level " ^ level_label
+     else "levels " ^ level_label ^ " (mixed criterion)")
     (Workload.Generators.mix_name mix)
     (match duration with
     | Some d -> Printf.sprintf "%.2fs deadline" d
@@ -696,27 +731,8 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
   (match telemetry_path with
   | Some path -> Format.printf "telemetry time series written to %s@." path
   | None -> ());
-  let m = r.Runtime.Pool.metrics in
-  Format.printf "%a@." Runtime.Metrics.pp m;
-  (match r.Runtime.Pool.lock_stats with
-  | Some s ->
-    Format.printf "lock table: %d grants, %d conflicts, %d releases, %d upgrades@."
-      s.Locking.Lock_table.grants s.Locking.Lock_table.conflicts
-      s.Locking.Lock_table.releases s.Locking.Lock_table.upgrades
-  | None -> ());
-  let mem = Runtime.Sysmem.read () in
-  Format.printf "memory: %a@." Runtime.Sysmem.pp mem;
-  let wal_stats = Option.map Storage.Wal.stats r.Runtime.Pool.wal in
-  (match wal_stats with
-  | Some w
-    when w.Storage.Wal.w_syncs > 0 || w.Storage.Wal.w_checkpoints > 0 ->
-    Format.printf
-      "wal: %d live records, %d segments (%d bytes on disk), %d fsync \
-       batches, %d checkpoints, %d segments truncated@."
-      w.Storage.Wal.w_records w.Storage.Wal.w_segments
-      w.Storage.Wal.w_disk_bytes w.Storage.Wal.w_syncs
-      w.Storage.Wal.w_checkpoints w.Storage.Wal.w_truncated_segments
-  | _ -> ());
+  let memory = Runtime.Sysmem.read () in
+  Format.printf "%a" (Telemetry.Report.pp_final ~memory) r;
   if fault_checks then
     (match plan with
     | Some p ->
@@ -726,41 +742,6 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
               (fun (k, n) -> Printf.sprintf "%s %d" k n)
               (Fault.Plan.injected p)))
     | None -> Format.printf "faults injected: none (rate 0)@.");
-  let oracle = r.Runtime.Pool.oracle in
-  (match oracle with
-  | None ->
-    Format.printf
-      "oracle: skipped (out-of-core run keeps no history; the online \
-       certifier carries the verdict)@."
-  | Some oracle ->
-    Format.printf "%a@." Runtime.Oracle.pp oracle;
-    Format.printf "oracle verdict: %s@."
-      (if Runtime.Oracle.pattern_free oracle then
-         "CLEAN (no anomalies, no phenomenon patterns)"
-       else if Runtime.Oracle.clean oracle then
-         "CLEAN (serializable; pattern templates admitted, as a non-locking \
-          scheduler may)"
-       else if Runtime.Oracle.anomalies oracle = [] then
-         "NOT SERIALIZABLE (dependency cycle outside the named anomaly \
-          templates)"
-       else "ANOMALIES DETECTED"));
-  (match r.Runtime.Pool.mixed with
-  | Some mx -> Format.printf "%a@." Runtime.Oracle.pp_mixed mx
-  | None -> ());
-  (match r.Runtime.Pool.certifier with
-  | Some s ->
-    Format.printf "%a@." Runtime.Certifier.pp_summary s;
-    List.iteri
-      (fun i v ->
-        if i < 5 then
-          Format.printf "  %a@." Runtime.Certifier.pp_violation v)
-      s.Runtime.Certifier.violations
-  | None -> ());
-  let level_label =
-    match lmix with
-    | Some m -> Workload.Mix.to_string m
-    | None -> L.name level
-  in
   (* Conservation check: the surviving store must equal a replay of the
      WAL's committed transactions over the initial state — no committed
      effect lost, none duplicated, nothing from an aborted attempt. The
@@ -815,9 +796,7 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
         Format.printf
           "  (expected: %s admits P0, so before-image undo is unsound — \
            the paper's section 3 dilemma)@."
-          (match lmix with
-          | Some m -> "the mix " ^ Workload.Mix.to_string m
-          | None -> L.name level);
+          ((if lmix = None then "" else "the mix ") ^ level_label);
       Some report
     | _ -> None
   in
@@ -833,125 +812,59 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
                failures = List.length rep.Fault.Crash.failures;
              }))
       crash_report;
-    let events = Trace.Sink.events s in
-    let tmeta =
-      Trace.Chrome.meta ~tool:"isolation_lab stress" ~level:level_label
-        ~mix:(Workload.Generators.mix_name mix) ~workers ~seed
-        ~history:(Trace.Render.history_line r.Runtime.Pool.history)
-        ~dropped:r.Runtime.Pool.events_dropped ()
-    in
-    Trace.Chrome.write_file path tmeta events;
-    Format.printf "trace: %d events (%d dropped) written to %s@."
-      (List.length events) r.Runtime.Pool.events_dropped path
+    Telemetry.Report.write_trace path ~tool:"isolation_lab stress"
+      ~level:level_label ~mix:(Workload.Generators.mix_name mix) ~workers
+      ~seed ~events:(Trace.Sink.events s) r
   | _ -> ());
-  (match
-     Option.map (fun o -> o.Runtime.Oracle.witnesses) oracle
-     |> Option.value ~default:[]
-   with
-  | [] -> ()
-  | ws ->
-    Format.printf "@.anomaly provenance:@.";
-    List.iter
-      (fun w ->
-        Trace.Render.provenance ~events:r.Runtime.Pool.events
-          Format.std_formatter ~history:r.Runtime.Pool.history w;
-        Format.printf "@.")
-      ws);
-  (match json_path with
-  | Some path ->
-    let section name = function
-      | None -> ""
-      | Some json -> Printf.sprintf ",%S:%s" name json
-    in
-    let lock_json =
-      Option.map
-        (fun s ->
-          Printf.sprintf
-            "{\"grants\":%d,\"conflicts\":%d,\"releases\":%d,\"upgrades\":%d}"
-            s.Locking.Lock_table.grants s.Locking.Lock_table.conflicts
-            s.Locking.Lock_table.releases s.Locking.Lock_table.upgrades)
-        r.Runtime.Pool.lock_stats
-    in
-    let chaos_json =
-      if not fault_checks then None
-      else
-        let by_class =
-          match plan with
-          | None -> "{}"
-          | Some p ->
-            Printf.sprintf "{%s}"
-              (String.concat ","
-                 (List.map
-                    (fun (k, n) -> Printf.sprintf "%S:%d" k n)
-                    (Fault.Plan.injected p)))
-        in
-        Some
-          (Printf.sprintf
-             "{\"fault_rate\":%g,\"faults_injected\":%d,\"by_class\":%s,\"deadline_exceeded\":%d,\"watchdog_kicks\":%d,\"effects_ok\":%s,\"crash_points\":%s}"
-             faults m.Runtime.Metrics.faults_injected by_class
-             m.Runtime.Metrics.deadline_exceeded
-             m.Runtime.Metrics.watchdog_kicks
-             (match effects_ok with
-             | Some b -> string_of_bool b
-             | None -> "null")
-             (match crash_report with
-             | Some rep -> Fault.Crash.to_json rep
-             | None -> "null"))
-    in
-    let json =
-      Printf.sprintf
-        "{\"level\":%S,\"mix\":%S,\"workers\":%d,\"txns\":%d,\"metrics\":%s,\"memory\":%s%s%s%s%s%s%s}"
-        level_label
-        (Workload.Generators.mix_name mix)
-        workers txns (Runtime.Metrics.to_json m) (Runtime.Sysmem.to_json mem)
-        (section "oracle" (Option.map Runtime.Oracle.to_json oracle))
-        (section "mixed"
-           (Option.map Runtime.Oracle.mixed_to_json r.Runtime.Pool.mixed))
-        (section "lock_table" lock_json)
-        (section "certifier"
-           (Option.map Runtime.Certifier.to_json r.Runtime.Pool.certifier))
-        (section "wal" (Option.map wal_json_of wal_stats))
-        (section "chaos" chaos_json)
-    in
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc json;
-        Out_channel.output_string oc "\n");
-    Format.printf "metrics written to %s@." path
-  | None -> ());
-  (* Levels that promise serializability turn the oracle into an
-     assertion: a dirty history is an engine bug, not a workload fact.
-     2PL SERIALIZABLE must be pattern-free — locking prevents the very
-     templates; SSI and T/O admit patterns but must show no anomaly. A
-     mixed run has no single-level promise: harm is judged per victim
-     and only enforced by --certify. *)
-  let oracle_ok =
-    match (oracle, lmix, level) with
-    | None, _, _ | _, Some _, _ -> true
-    | Some o, None, L.Serializable -> Runtime.Oracle.pattern_free o
-    | Some o, None, (L.Serializable_snapshot | L.Timestamp_ordering) ->
-      Runtime.Oracle.clean o
-    | Some _, None, _ -> true
-  in
-  (* --certify adds its own promise at *any* level: the certifier dooms
-     cycle closers before they commit, so the committed projection must
-     come back acyclic — judged by the certifier's finalized verdict,
-     exact whether or not a history was kept, and by the oracle's when
-     one was. Under the mixed criterion the promise is mixed_ok — every
-     transaction got the protection its declared level demands — not
-     global serializability. (Anomalies that need no cycle, e.g. a dirty
-     read whose writer aborts, are still observed and reported.) *)
-  let certify_ok =
-    (not certify)
-    ||
-    match (criterion, r.Runtime.Pool.certifier) with
-    | _, None -> true
-    | Runtime.Certifier.Mixed, Some s -> s.Runtime.Certifier.mixed_ok
-    | Runtime.Certifier.Serializability, Some s ->
-      s.Runtime.Certifier.serializable
-      && Option.fold ~none:true
-           ~some:(fun o -> o.Runtime.Oracle.serializable)
-           oracle
-  in
+  Option.iter
+    (fun o ->
+      print_provenance ~events:r.Runtime.Pool.events
+        ~history:r.Runtime.Pool.history o.Runtime.Oracle.witnesses)
+    r.Runtime.Pool.oracle;
+  let m = r.Runtime.Pool.metrics in
+  Option.iter
+    (fun path ->
+      let chaos =
+        if not fault_checks then []
+        else
+          let by_class =
+            match plan with
+            | None -> "{}"
+            | Some p ->
+              Printf.sprintf "{%s}"
+                (String.concat ","
+                   (List.map
+                      (fun (k, n) -> Printf.sprintf "%S:%d" k n)
+                      (Fault.Plan.injected p)))
+          in
+          [
+            ( "chaos",
+              Printf.sprintf
+                "{\"fault_rate\":%g,\"faults_injected\":%d,\"by_class\":%s,\"deadline_exceeded\":%d,\"watchdog_kicks\":%d,\"effects_ok\":%s,\"crash_points\":%s}"
+                faults m.Runtime.Metrics.faults_injected by_class
+                m.Runtime.Metrics.deadline_exceeded
+                m.Runtime.Metrics.watchdog_kicks
+                (match effects_ok with
+                | Some b -> string_of_bool b
+                | None -> "null")
+                (match crash_report with
+                | Some rep -> Fault.Crash.to_json rep
+                | None -> "null") );
+          ]
+      in
+      (* [txns] counts the jobs actually run: a --duration run ignores
+         --txns, and a SIGINT drain can cut a fixed-count run short. *)
+      write_json path "metrics"
+        (Telemetry.Report.final_json ~memory r ~sections:chaos
+           ~header:
+             Trace.Json.[
+               ("level", String level_label);
+               ("mix", String (Workload.Generators.mix_name mix));
+               ("workers", Int workers);
+               ( "txns",
+                 Int (m.Runtime.Metrics.committed + m.Runtime.Metrics.giveups) );
+             ]))
+    json_path;
   (* Fault checks: lost or duplicated committed effects, or a crash
      point a P0-free level failed to recover from. Degree 0 crash
      failures are the expected finding, not an error. *)
@@ -961,7 +874,13 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
     | Some rep when p0_free -> Fault.Crash.ok rep
     | _ -> true
   in
-  if not (oracle_ok && certify_ok && effects_fine && crash_fine) then exit 1
+  (* A mixed run has no single-level promise: harm is judged per victim
+     and only enforced by --certify. *)
+  let promised = if lmix = None then Some level else None in
+  if
+    not
+      (Telemetry.Report.verdict ?promised r && effects_fine && crash_fine)
+  then exit 1
 
 let stress_cmd =
   let txns_arg =
@@ -998,18 +917,6 @@ let stress_cmd =
       value & flag
       & info [ "first-updater-wins" ]
           ~doc:"Use the First-Updater-Wins variant of Snapshot Isolation.")
-  in
-  let oracle_window_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "oracle-window" ] ~docv:"N"
-          ~doc:
-            "Run the post-run anomaly detectors over sliding N-transaction \
-             windows instead of the whole history (reports stay sound; \
-             counts become per-window lower bounds). Serializability is \
-             still decided on the full history by an incremental-graph \
-             replay, so cross-window cycles are never missed. Makes long \
-             runs checkable.")
   in
   let faults_arg =
     Arg.(
@@ -1095,7 +1002,7 @@ let stress_cmd =
     Term.(
       const stress $ workers_arg $ level_arg $ levels_spec_arg $ mix_arg
       $ txns_arg $ duration_arg $ accounts_arg $ hot_arg $ ops_arg $ think_arg
-      $ seed_arg $ fuw_arg $ stripes_arg $ coarse_arg $ oracle_window_arg
+      $ seed_arg $ fuw_arg $ stripes_arg $ coarse_arg $ oracle_window_arg 0
       $ certify_arg $ wal_dir_arg $ checkpoint_arg $ history_arg $ faults_arg
       $ stall_us_arg $ deadline_arg $ watchdog_arg $ crash_points_arg
       $ crash_sample_arg $ json_arg $ trace_arg $ telemetry_arg)
@@ -1151,18 +1058,8 @@ let explain file txn show_log limit =
            check@."
       | Some h ->
         let oracle = Runtime.Oracle.check h in
-        (match Runtime.Oracle.anomalies oracle with
-        | [] ->
-          Format.printf "oracle: %s@."
-            (if Runtime.Oracle.clean oracle then "serializable, no anomalies"
-             else "NOT SERIALIZABLE (dependency cycle outside the named \
-                   anomaly templates)")
-        | anoms ->
-          Format.printf "oracle: anomalies detected: %s@."
-            (String.concat ", "
-               (List.map
-                  (fun (p, n) -> Printf.sprintf "%s x%d" (P.name p) n)
-                  anoms)));
+        Format.printf "%a@.oracle verdict: %s@." Runtime.Oracle.pp oracle
+          (Telemetry.Report.oracle_verdict oracle);
         (* Certifier provenance: when the run was traced with --certify,
            each dep_cycle event records which dependency-edge class (wr,
            ww or rw) would have closed a cycle, and on whom. *)
@@ -1193,16 +1090,7 @@ let explain file txn show_log limit =
           let n = List.length cycles in
           if n > shown_max then
             Format.printf "  ... and %d more@." (n - shown_max));
-        match oracle.Runtime.Oracle.witnesses with
-        | [] -> ()
-        | ws ->
-          Format.printf "@.anomaly provenance:@.";
-          List.iter
-            (fun w ->
-              Trace.Render.provenance ~events Format.std_formatter ~history:h
-                w;
-              Format.printf "@.")
-            ws)
+        print_provenance ~events ~history:h oracle.Runtime.Oracle.witnesses)
 
 (* {2 serve / loadgen — the wire-protocol front-end} *)
 
@@ -1247,17 +1135,12 @@ let serve workers family_str level criterion_str port host accounts stripes
     Fmt.epr "--disconnect-rate must be in [0, 1]@.";
     exit 1
   end;
-  let sink =
-    match trace_path with
-    | None -> None
-    | Some _ -> Some (Trace.Sink.create ~workers:(max 1 workers) ())
-  in
+  let sink = trace_sink ~workers trace_path in
   let fault =
     if disconnect_rate <= 0. then None
     else Some (Fault.Plan.create ~disconnect_rate ~seed ())
   in
   let stop = drain_on_sigint () in
-  let oracle_window = if oracle_window = 0 then None else Some oracle_window in
   (* Long-lived servers can outgrow any in-memory history: --history \
      false drops the trace and the post-run oracle (the online certifier \
      still certifies when --certify) and spills the attempt journal. *)
@@ -1268,7 +1151,8 @@ let serve workers family_str level criterion_str port host accounts stripes
   let pool =
     Runtime.Pool.config ~workers
       ~initial:(Workload.Generators.bank_accounts accounts)
-      ~stripes ~coarse ~certify ~certify_batch ~criterion ?oracle_window ~seed
+      ~stripes ~coarse ~certify ~certify_batch ~criterion
+      ?oracle_window:(oracle_window_of oracle_window) ~seed
       ?trace:sink ?fault ?wal_dir ~checkpoint_every ~keep_history ?spill_dir ()
   in
   let cfg =
@@ -1290,86 +1174,32 @@ let serve workers family_str level criterion_str port host accounts stripes
   in
   let r, stats = Server.Frontend.serve cfg in
   Format.printf "%a@." Server.Frontend.pp_stats stats;
-  Format.printf "%a@." Runtime.Metrics.pp r.Runtime.Pool.metrics;
-  Format.printf "memory: %a@." Runtime.Sysmem.pp (Runtime.Sysmem.read ());
-  (match r.Runtime.Pool.oracle with
-  | Some o -> Format.printf "%a@." Runtime.Oracle.pp o
-  | None ->
-    Format.printf
-      "oracle: skipped (--history false; the online certifier carries the \
-       verdict)@.");
-  (match r.Runtime.Pool.mixed with
-  | Some mx -> Format.printf "%a@." Runtime.Oracle.pp_mixed mx
-  | None -> ());
-  (match r.Runtime.Pool.certifier with
-  | Some s -> Format.printf "%a@." Runtime.Certifier.pp_summary s
-  | None -> ());
-  (match trace_path with
-  | Some path ->
-    let tmeta =
-      Trace.Chrome.meta ~tool:"isolation_lab serve" ~level:(L.name level)
-        ~mix:"wire" ~workers ~seed
-        ~history:(Trace.Render.history_line r.Runtime.Pool.history)
-        ~dropped:r.Runtime.Pool.events_dropped ()
-    in
-    Trace.Chrome.write_file path tmeta r.Runtime.Pool.events;
-    Format.printf "trace: %d events (%d dropped) written to %s@."
-      (List.length r.Runtime.Pool.events)
-      r.Runtime.Pool.events_dropped path
-  | None -> ());
-  (match json_path with
-  | Some path ->
-    let certifier_json =
-      match r.Runtime.Pool.certifier with
-      | None -> ""
-      | Some s -> ",\"certifier\":" ^ Runtime.Certifier.to_json s
-    in
-    let oracle_json =
-      match r.Runtime.Pool.oracle with
-      | None -> ""
-      | Some o -> ",\"oracle\":" ^ Runtime.Oracle.to_json o
-    in
-    let mixed_json =
-      match r.Runtime.Pool.mixed with
-      | None -> ""
-      | Some mx -> ",\"mixed\":" ^ Runtime.Oracle.mixed_to_json mx
-    in
-    let json =
-      Printf.sprintf
-        "{\"family\":%S,\"default_level\":%S,\"criterion\":%S,\"workers\":%d,\"server\":{\"conns\":%d,\"sessions\":%d,\"frames\":%d,\"protocol_errors\":%d,\"disconnects\":%d},\"metrics\":%s,\"memory\":%s%s%s%s}"
-        (family_name family) (L.name level)
-        (match criterion with
-        | Runtime.Certifier.Mixed -> "mixed"
-        | Runtime.Certifier.Serializability -> "serializable")
-        workers stats.Server.Frontend.conns stats.Server.Frontend.sessions
-        stats.Server.Frontend.frames stats.Server.Frontend.protocol_errors
-        stats.Server.Frontend.disconnects
-        (Runtime.Metrics.to_json r.Runtime.Pool.metrics)
-        (Runtime.Sysmem.to_json (Runtime.Sysmem.read ()))
-        oracle_json mixed_json certifier_json
-    in
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc json;
-        Out_channel.output_string oc "\n");
-    Format.printf "server report written to %s@." path
-  | None -> ());
-  (* --certify is a promise at any level: the committed projection must
-     come back acyclic under the chosen criterion — fully acyclic for
-     serializability, free of forbidden-for-the-victim cycles for mixed.
-     The certifier's own finalized verdict judges it, so the promise
-     holds with or without a kept history. *)
-  let certified_ok =
-    match r.Runtime.Pool.certifier with
-    | Some s -> (
-      match criterion with
-      | Runtime.Certifier.Mixed -> s.Runtime.Certifier.mixed_ok
-      | Runtime.Certifier.Serializability -> s.Runtime.Certifier.serializable)
-    | None -> (
-      match r.Runtime.Pool.oracle with
-      | Some o -> o.Runtime.Oracle.serializable
-      | None -> true)
-  in
-  if certify && not certified_ok then exit 1
+  let memory = Runtime.Sysmem.read () in
+  Format.printf "%a" (Telemetry.Report.pp_final ~memory) r;
+  Option.iter
+    (fun path ->
+      Telemetry.Report.write_trace path ~tool:"isolation_lab serve"
+        ~level:(L.name level) ~mix:"wire" ~workers ~seed r)
+    trace_path;
+  Option.iter
+    (fun path ->
+      write_json path "server report"
+        (Telemetry.Report.final_json ~memory r
+           ~sections:[ ("server", Telemetry.Report.server_json stats) ]
+           ~header:
+             Trace.Json.
+               [
+                 ("family", String (family_name family));
+                 ("default_level", String (L.name level));
+                 ( "criterion",
+                   String
+                     (match criterion with
+                     | Runtime.Certifier.Mixed -> "mixed"
+                     | Runtime.Certifier.Serializability -> "serializable") );
+                 ("workers", Int workers);
+               ]))
+    json_path;
+  if not (Telemetry.Report.verdict r) then exit 1
 
 let serve_cmd =
   let family_arg =
@@ -1396,16 +1226,6 @@ let serve_cmd =
              each cycle against the victim's declared level (Table 4) and \
              aborts only transactions whose own level forbids the structure.")
   in
-  let port_arg =
-    Arg.(
-      value & opt int 7654
-      & info [ "p"; "port" ] ~docv:"PORT" ~doc:"Listen port (0 picks one).")
-  in
-  let host_arg =
-    Arg.(
-      value & opt string "127.0.0.1"
-      & info [ "host" ] ~docv:"ADDR" ~doc:"Listen address.")
-  in
   let certify_batch_arg =
     Arg.(
       value & opt bool true
@@ -1413,14 +1233,6 @@ let serve_cmd =
           ~doc:
             "Batch certifier edge offers outside the engine trace lock \
              (default true; false restores the unbatched feed).")
-  in
-  let oracle_window_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "oracle-window" ] ~docv:"N"
-          ~doc:
-            "Sliding window for the post-run anomaly detectors (0 = whole \
-             history; the default keeps long serving runs checkable).")
   in
   let drain_grace_arg =
     Arg.(
@@ -1455,9 +1267,9 @@ let serve_cmd =
           recorded history is oracle-checked at shutdown.")
     Term.(
       const serve $ workers_arg $ family_arg $ level_arg $ criterion_arg
-      $ port_arg $ host_arg
+      $ port_arg "Listen port (0 picks one)." $ host_arg "Listen address."
       $ accounts_arg $ stripes_arg $ coarse_arg $ certify_arg
-      $ certify_batch_arg $ oracle_window_arg $ wal_dir_arg $ checkpoint_arg
+      $ certify_batch_arg $ oracle_window_arg 64 $ wal_dir_arg $ checkpoint_arg
       $ history_arg $ duration_arg $ drain_grace_arg $ seed_arg
       $ disconnect_arg $ trace_arg $ json_arg $ telemetry_port_arg)
 
@@ -1478,22 +1290,8 @@ let loadgen host port preset sessions conns txns mix_name levels_str accounts
       Fmt.epr "unknown --preset %S; available: 1m@." p;
       exit 1
   in
-  let mix =
-    match Workload.Generators.mix_of_string mix_name with
-    | Some m -> m
-    | None ->
-      Fmt.epr "unknown mix %S; available: %s@." mix_name
-        (String.concat ", "
-           (List.map Workload.Generators.mix_name Workload.Generators.all_mixes));
-      exit 1
-  in
-  let levels =
-    match Workload.Mix.parse levels_str with
-    | Ok m -> m
-    | Error msg ->
-      Fmt.epr "%s@." msg;
-      exit 1
-  in
+  let mix = mix_or_exit mix_name in
+  let levels = mix_spec_or_exit levels_str in
   let cfg =
     Server.Loadgen.config ~host ~port ~sessions ?conns ~txns_per_session:txns
       ~mix ~levels ~accounts ~hot ~ops ~think_us:think ~seed ~max_attempts
@@ -1509,36 +1307,21 @@ let loadgen host port preset sessions conns txns mix_name levels_str accounts
   Format.print_flush ();
   let st = Server.Loadgen.run cfg in
   Format.printf "%a@." Server.Loadgen.pp_stats st;
-  (match json_path with
-  | Some path ->
-    let json =
-      Printf.sprintf
-        "{\"sessions\":%d,\"committed\":%d,\"aborted\":%d,\"giveups\":%d,\"draining_rejects\":%d,\"protocol_errors\":%d,\"requests\":%d,\"wall_s\":%.3f,\"throughput\":%.1f,\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f}"
-        st.Server.Loadgen.sessions st.Server.Loadgen.committed
-        st.Server.Loadgen.aborted st.Server.Loadgen.giveups
-        st.Server.Loadgen.draining_rejects st.Server.Loadgen.protocol_errors
-        st.Server.Loadgen.requests st.Server.Loadgen.wall_s
-        st.Server.Loadgen.throughput st.Server.Loadgen.p50_ms
-        st.Server.Loadgen.p95_ms st.Server.Loadgen.p99_ms
-    in
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc json;
-        Out_channel.output_string oc "\n");
-    Format.printf "loadgen report written to %s@." path
-  | None -> ());
+  Option.iter
+    (fun path ->
+      write_json path "loadgen report"
+        (Printf.sprintf
+           "{\"sessions\":%d,\"committed\":%d,\"aborted\":%d,\"giveups\":%d,\"draining_rejects\":%d,\"protocol_errors\":%d,\"requests\":%d,\"wall_s\":%.3f,\"throughput\":%.1f,\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f}"
+           st.Server.Loadgen.sessions st.Server.Loadgen.committed
+           st.Server.Loadgen.aborted st.Server.Loadgen.giveups
+           st.Server.Loadgen.draining_rejects st.Server.Loadgen.protocol_errors
+           st.Server.Loadgen.requests st.Server.Loadgen.wall_s
+           st.Server.Loadgen.throughput st.Server.Loadgen.p50_ms
+           st.Server.Loadgen.p95_ms st.Server.Loadgen.p99_ms))
+    json_path;
   if st.Server.Loadgen.protocol_errors > 0 then exit 1
 
 let loadgen_cmd =
-  let host_arg =
-    Arg.(
-      value & opt string "127.0.0.1"
-      & info [ "host" ] ~docv:"ADDR" ~doc:"Server address.")
-  in
-  let port_arg =
-    Arg.(
-      value & opt int 7654
-      & info [ "p"; "port" ] ~docv:"PORT" ~doc:"Server port.")
-  in
   let preset_arg =
     Arg.(
       value & opt (some string) None
@@ -1624,7 +1407,8 @@ let loadgen_cmd =
          "Drive a running server with N wire sessions; exits non-zero on \
           any protocol error.")
     Term.(
-      const loadgen $ host_arg $ port_arg $ preset_arg $ sessions_arg
+      const loadgen $ host_arg "Server address." $ port_arg "Server port."
+      $ preset_arg $ sessions_arg
       $ conns_arg $ txns_arg $ mix_arg $ levels_arg $ accounts_arg $ hot_arg
       $ ops_arg $ think_arg $ seed_arg $ max_attempts_arg $ json_arg
       $ progress_arg)
@@ -1786,16 +1570,6 @@ let top host port interval once =
   end
 
 let top_cmd =
-  let host_arg =
-    Arg.(
-      value & opt string "127.0.0.1"
-      & info [ "host" ] ~docv:"ADDR" ~doc:"Server address.")
-  in
-  let port_arg =
-    Arg.(
-      value & opt int 7654
-      & info [ "p"; "port" ] ~docv:"PORT" ~doc:"Server port.")
-  in
   let interval_arg =
     Arg.(
       value & opt float 1.0
@@ -1816,7 +1590,9 @@ let top_cmd =
           STATS admin op and renders interval commit/abort rates, the \
           abort mix, per-level counts, and certifier, scheduler and \
           connection gauges.")
-    Term.(const top $ host_arg $ port_arg $ interval_arg $ once_arg)
+    Term.(
+      const top $ host_arg "Server address." $ port_arg "Server port."
+      $ interval_arg $ once_arg)
 
 let explain_cmd =
   let file_arg =

@@ -14,7 +14,7 @@
 
 module Action = History.Action
 module Level = Isolation.Level
-module Digraph = History.Digraph
+module Digraph = Graph.Digraph
 
 type txn = Action.txn
 
@@ -84,7 +84,8 @@ let run cfg programs ~schedule =
     || (begun.(tid - 1) && Engine.status engine tid <> Engine.Active)
   in
   let waits_cycle () =
-    let g = Digraph.create () in
+    (* one shard: the graph serves a single query *)
+    let g = Digraph.create ~shards:1 () in
     Hashtbl.iter
       (fun t holders -> List.iter (fun h -> Digraph.add_edge g t h) holders)
       waits;

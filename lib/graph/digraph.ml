@@ -88,3 +88,46 @@ let node_count g =
   Array.fold_left (fun acc s -> acc + Hashtbl.length s.succ) 0 g.shards
 
 let edge_count g = g.edges
+
+(* One depth-first search in ascending node order ([nodes] and [succs]
+   are sorted, so it is deterministic). It retains the path, so a back
+   edge yields the cycle itself rather than just its existence; on an
+   acyclic graph the reversed post-order is a topological order. *)
+let search g =
+  let state = Hashtbl.create 16 in
+  (* state: absent = unvisited, `Active = on stack, `Done = finished *)
+  let order = ref [] in
+  let rec dfs path n =
+    match Hashtbl.find_opt state n with
+    | Some `Done -> None
+    | Some `Active ->
+      (* [path] is most-recent-first; the cycle is n :: ... back to n. *)
+      let rec take acc = function
+        | [] -> acc
+        | x :: rest -> if x = n then x :: acc else take (x :: acc) rest
+      in
+      Some (take [] path)
+    | None ->
+      Hashtbl.replace state n `Active;
+      let rec loop = function
+        | [] ->
+          Hashtbl.replace state n `Done;
+          order := n :: !order;
+          None
+        | s :: rest -> (
+          match dfs (n :: path) s with
+          | Some _ as c -> c
+          | None -> loop rest)
+      in
+      loop (succs g n)
+  in
+  let rec scan = function
+    | [] -> Ok !order
+    | n :: rest -> (
+      match dfs [] n with Some c -> Error c | None -> scan rest)
+  in
+  scan (nodes g)
+
+let find_cycle g = match search g with Error c -> Some c | Ok _ -> None
+let is_acyclic g = Result.is_ok (search g)
+let topological_sort g = Result.to_option (search g)

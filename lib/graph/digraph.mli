@@ -1,9 +1,11 @@
 (** Mutable directed graphs over integer-identified nodes (transaction
     ids), with adjacency stored in a fixed array of hash shards keyed by
-    [id mod shards]. Unlike [History.Digraph] — an immutable analysis
-    structure rebuilt per query — this one supports cheap edge and node
-    deletion, so long-running consumers (the waits-for graph, the online
-    certifier) can retire transactions as they finish.
+    [id mod shards]. Edge and node deletion are cheap, so long-running
+    consumers (the waits-for graph, the online certifier) can retire
+    transactions as they finish; the offline queries below (cycle
+    witness, topological sort) serve the per-history analyses —
+    dependency graphs, the MVSG, the deterministic executor's waits-for
+    check.
 
     Not internally synchronised: callers that mutate from several domains
     must serialise access (as [Incremental] does). *)
@@ -28,7 +30,22 @@ val remove_node : t -> int -> unit
 val mem_node : t -> int -> bool
 val mem_edge : t -> int -> int -> bool
 val succs : t -> int -> int list
+(** Sorted ascending. *)
+
 val preds : t -> int -> int list
+
 val nodes : t -> int list
+(** Sorted ascending. *)
+
 val node_count : t -> int
 val edge_count : t -> int
+
+val find_cycle : t -> int list option
+(** [find_cycle g] is [Some [n1; ...; nk]] where [n1 -> ... -> nk -> n1] is a
+    cycle in [g], or [None] if [g] is acyclic. A depth-first search in
+    ascending node order, so the witness is deterministic. *)
+
+val is_acyclic : t -> bool
+
+val topological_sort : t -> int list option
+(** A topological order of the nodes, or [None] if the graph is cyclic. *)

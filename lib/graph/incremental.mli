@@ -26,7 +26,7 @@ val add_edge : t -> int -> int -> [ `Ok | `Exists | `Cycle of int list ]
 (** [add_edge t x y] inserts [x -> y], unless doing so would close a
     cycle — then the edge is {e not} inserted and [`Cycle [y; ...; x]]
     is returned: an existing path [y -> ... -> x] that the rejected edge
-    [x -> y] would have closed, in [History.Digraph.find_cycle] witness
+    [x -> y] would have closed, in {!Digraph.find_cycle} witness
     format ([n1 -> ... -> nk -> n1]). A self-loop yields [`Cycle [x]];
     an edge already present yields [`Exists]. *)
 

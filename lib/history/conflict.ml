@@ -6,6 +6,8 @@
    graph is acyclic; a topological order is then an equivalent serial
    execution. *)
 
+module Digraph = Graph.Digraph
+
 type dep = Write_write | Write_read | Read_write
 
 let pp_dep ppf = function
@@ -53,7 +55,8 @@ let edges h =
   List.rev !acc
 
 let graph h =
-  let g = Digraph.create () in
+  (* one shard: the graph serves a single query *)
+  let g = Digraph.create ~shards:1 () in
   List.iter (fun t -> Digraph.add_node g t) (Hist.committed h);
   List.iter (fun e -> Digraph.add_edge g e.src e.dst) (edges h);
   g

@@ -21,7 +21,7 @@ val edges : Hist.t -> edge list
 (** Dependency edges among committed transactions, in history order of the
     earlier action. *)
 
-val graph : Hist.t -> Digraph.t
+val graph : Hist.t -> Graph.Digraph.t
 
 val cycle : Hist.t -> Action.txn list option
 (** A cycle in the dependency graph, witnessing non-serializability. *)

@@ -5,7 +5,6 @@
 
 module Action = Action
 module Parser = Parser
-module Digraph = Digraph
 module Conflict = Conflict
 module Mv = Mv
 module View = View

@@ -8,6 +8,8 @@
    First-Committer-Wins), and implements the paper's mapping of SI
    histories to single-valued histories (H1.SI -> H1.SI.SV). *)
 
+module Digraph = Graph.Digraph
+
 let is_mv h =
   List.exists
     (function
@@ -80,7 +82,8 @@ let read_version h pos (r : Action.read) =
    - Tk -> Tj when Tk reads x_i and x_j is a later version (rw). *)
 let mvsg h =
   let hc = Hist.project_committed h in
-  let g = Digraph.create () in
+  (* one shard: the graph serves a single query *)
+  let g = Digraph.create ~shards:1 () in
   Digraph.add_node g 0;
   List.iter (fun t -> Digraph.add_node g t) (Hist.committed h);
   let keys = Hist.keys hc in

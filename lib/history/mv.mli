@@ -21,7 +21,7 @@ val read_version : Hist.t -> int -> Action.read -> Action.version
     annotation, else the reader's own prior write, else the latest version
     committed before the read. *)
 
-val mvsg : Hist.t -> Digraph.t
+val mvsg : Hist.t -> Graph.Digraph.t
 (** The multiversion serialization graph over committed transactions (node
     0 is the virtual initial transaction). *)
 

@@ -207,6 +207,7 @@ type result = {
   mixed : Oracle.mixed option; (* per-victim verdict, under the Mixed criterion *)
   certifier : Certifier.summary option; (* online verdict, when certifying *)
   lock_stats : Locking.Lock_table.stats option;
+  lock_stripes : int;
   events : Trace.Event.t list;
   events_dropped : int;
   wal : Storage.Wal.t option; (* the locking engine's log, for crash replay *)
@@ -567,6 +568,7 @@ let collect_result (cfg : config) sh =
        else None);
     certifier = Option.map Certifier.finalize sh.certifier;
     lock_stats = Engine.lock_stats sh.engine;
+    lock_stripes = sh.nstripes;
     events;
     events_dropped;
     wal = Engine.wal sh.engine;

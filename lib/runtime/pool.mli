@@ -293,6 +293,7 @@ type result = {
       (** the online certifier's finalized verdict and edge/cycle
           accounting ([Some] iff [config.certify]) *)
   lock_stats : Locking.Lock_table.stats option;  (** locking engines only *)
+  lock_stripes : int;  (** key stripes the run used, as in {!live} *)
   events : Trace.Event.t list;
       (** the merged flight-recorder timeline, sorted by timestamp
           (empty when [config.trace] is [None]) *)

@@ -51,12 +51,13 @@ let config ?(host = "127.0.0.1") ?(port = 7654) ?(default_level = Level.Read_com
   { host; port; pool; family; default_level; drain_grace_s; duration_s; stop;
     on_ready; telemetry_port; telemetry_ready }
 
-type stats = {
+type stats = Telemetry.Report.server = {
   conns : int;
   sessions : int;
   frames : int;
   protocol_errors : int;
   disconnects : int;  (** injected connection severs (fault plan) *)
+  draining : bool;
 }
 
 let pp_stats ppf s =
@@ -171,6 +172,16 @@ let send_response c ~sid ~req resp =
    whichever thread asks: a connection reader answering STATS, or the
    HTTP exposition listener. *)
 
+let counters t =
+  {
+    conns = Atomic.get t.n_conns;
+    sessions = Atomic.get t.n_sessions;
+    frames = Atomic.get t.n_frames;
+    protocol_errors = Atomic.get t.n_protocol_errors;
+    disconnects = Atomic.get t.n_disconnects;
+    draining = Atomic.get t.draining;
+  }
+
 let report t =
   let sg = Scheduler.gauges t.sched in
   let scheduler =
@@ -187,17 +198,7 @@ let report t =
       wake_wait_max_us = float_of_int sg.Scheduler.wake_ns_max /. 1e3;
     }
   in
-  let server =
-    {
-      Telemetry.Report.conns = Atomic.get t.n_conns;
-      sessions = Atomic.get t.n_sessions;
-      frames = Atomic.get t.n_frames;
-      protocol_errors = Atomic.get t.n_protocol_errors;
-      disconnects = Atomic.get t.n_disconnects;
-      draining = Atomic.get t.draining;
-    }
-  in
-  Telemetry.Report.make ~scheduler ~server (Pool.exec_live t.exec)
+  Telemetry.Report.make ~scheduler ~server:(counters t) (Pool.exec_live t.exec)
 
 let open_session t c ~sid ~req =
   if Atomic.get t.draining then
@@ -522,13 +523,4 @@ let serve cfg =
   ignore (Scheduler.quiesce sched ~timeout_s:(cfg.drain_grace_s +. 2.0));
   Scheduler.stop sched;
   let result = Pool.exec_finalize exec in
-  let stats =
-    {
-      conns = Atomic.get t.n_conns;
-      sessions = Atomic.get t.n_sessions;
-      frames = Atomic.get t.n_frames;
-      protocol_errors = Atomic.get t.n_protocol_errors;
-      disconnects = Atomic.get t.n_disconnects;
-    }
-  in
-  (result, stats)
+  (result, counters t)

@@ -43,12 +43,13 @@ val config :
   unit ->
   config
 
-type stats = {
+type stats = Telemetry.Report.server = {
   conns : int;
   sessions : int;
   frames : int;
   protocol_errors : int;
   disconnects : int;  (** injected connection severs (fault plan) *)
+  draining : bool;
 }
 
 val pp_stats : stats Fmt.t

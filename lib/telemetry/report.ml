@@ -37,6 +37,34 @@ type t = {
 
 let make ?scheduler ?server live = { live; scheduler; server }
 
+(* {2 Section encoders}
+
+   One encoder per section, shared by the STATS reply below and the
+   final run report ({!final_json}), so the two never drift apart. *)
+
+let locks_json ~stripes (s : Locking.Lock_table.stats) =
+  Printf.sprintf
+    {|{"grants":%d,"conflicts":%d,"releases":%d,"upgrades":%d,"stripes":%d}|}
+    s.grants s.conflicts s.releases s.upgrades stripes
+
+let wal_json (w : Storage.Wal.stats) =
+  let hist =
+    String.concat ","
+      (List.map
+         (fun (le, n) -> Printf.sprintf {|"%d":%d|} le n)
+         w.Storage.Wal.w_batch_hist)
+  in
+  Printf.sprintf
+    {|{"records":%d,"segments":%d,"disk_bytes":%d,"syncs":%d,"checkpoints":%d,"truncated_segments":%d,"batch_hist":{%s}}|}
+    w.Storage.Wal.w_records w.Storage.Wal.w_segments
+    w.Storage.Wal.w_disk_bytes w.Storage.Wal.w_syncs
+    w.Storage.Wal.w_checkpoints w.Storage.Wal.w_truncated_segments hist
+
+let server_json s =
+  Printf.sprintf
+    {|{"conns":%d,"sessions":%d,"frames":%d,"protocol_errors":%d,"disconnects":%d,"draining":%b}|}
+    s.conns s.sessions s.frames s.protocol_errors s.disconnects s.draining
+
 (* {2 JSON} *)
 
 let to_json t =
@@ -53,31 +81,19 @@ let to_json t =
          s.s_nodes s.s_edges s.s_queue s.s_pending s.s_edges_wr s.s_edges_ww
          s.s_edges_rw s.s_cycles s.s_dooms s.s_misses s.s_tolerated
          s.s_prune_passes s.s_pruned_nodes s.s_pruned_eras));
-  (match t.live.Pool.lock_stats with
-  | None -> ()
-  | Some (s : Locking.Lock_table.stats) ->
-    Buffer.add_string b
-      (Printf.sprintf
-         {|,"locks":{"grants":%d,"conflicts":%d,"releases":%d,"upgrades":%d,"stripes":%d}|}
-         s.grants s.conflicts s.releases s.upgrades t.live.Pool.lock_stripes));
+  Option.iter
+    (fun s ->
+      Buffer.add_string b ",\"locks\":";
+      Buffer.add_string b (locks_json ~stripes:t.live.Pool.lock_stripes s))
+    t.live.Pool.lock_stats;
   Buffer.add_string b
     (Printf.sprintf {|,"wal_entries":%d,"history_len":%d|}
        t.live.Pool.wal_entries t.live.Pool.history_len);
-  (match t.live.Pool.wal_stats with
-  | None -> ()
-  | Some (w : Storage.Wal.stats) ->
-    let hist =
-      String.concat ","
-        (List.map
-           (fun (le, n) -> Printf.sprintf {|"%d":%d|} le n)
-           w.Storage.Wal.w_batch_hist)
-    in
-    Buffer.add_string b
-      (Printf.sprintf
-         {|,"wal":{"records":%d,"segments":%d,"disk_bytes":%d,"syncs":%d,"checkpoints":%d,"truncated_segments":%d,"batch_hist":{%s}}|}
-         w.Storage.Wal.w_records w.Storage.Wal.w_segments
-         w.Storage.Wal.w_disk_bytes w.Storage.Wal.w_syncs
-         w.Storage.Wal.w_checkpoints w.Storage.Wal.w_truncated_segments hist));
+  Option.iter
+    (fun w ->
+      Buffer.add_string b ",\"wal\":";
+      Buffer.add_string b (wal_json w))
+    t.live.Pool.wal_stats;
   (match t.scheduler with
   | None -> ()
   | Some s ->
@@ -86,14 +102,11 @@ let to_json t =
          {|,"scheduler":{"runnable":%d,"parked":%d,"sessions_active":%d,"wakes":%d,"wake_wait_mean_us":%.1f,"wake_wait_max_us":%.1f}|}
          s.runnable s.parked s.sessions_active s.wakes s.wake_wait_mean_us
          s.wake_wait_max_us));
-  (match t.server with
-  | None -> ()
-  | Some s ->
-    Buffer.add_string b
-      (Printf.sprintf
-         {|,"server":{"conns":%d,"sessions":%d,"frames":%d,"protocol_errors":%d,"disconnects":%d,"draining":%b}|}
-         s.conns s.sessions s.frames s.protocol_errors s.disconnects
-         s.draining));
+  Option.iter
+    (fun s ->
+      Buffer.add_string b ",\"server\":";
+      Buffer.add_string b (server_json s))
+    t.server;
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -248,3 +261,118 @@ let to_prometheus t =
       "isolation_lab_server_draining"
       [ ([], if s.draining then 1. else 0.) ]);
   Prometheus.to_string p
+
+(* {2 The final run report}
+
+   What [stress] and [serve] print, write and exit on after a run: one
+   text rendering, one JSON object and one verdict over a
+   {!Runtime.Pool.result}. The commands add only their header fields and
+   their own sections (stress's fault checks, serve's front-end
+   counters). *)
+
+module Oracle = Runtime.Oracle
+module L = Isolation.Level
+
+let oracle_verdict o =
+  if Oracle.pattern_free o then "CLEAN (no anomalies, no phenomenon patterns)"
+  else if Oracle.clean o then
+    "CLEAN (serializable; pattern templates admitted, as a non-locking \
+     scheduler may)"
+  else if Oracle.anomalies o = [] then
+    "NOT SERIALIZABLE (dependency cycle outside the named anomaly templates)"
+  else "ANOMALIES DETECTED"
+
+let pp_final ~memory ppf (r : Pool.result) =
+  Fmt.pf ppf "%a@." Metrics.pp r.metrics;
+  Option.iter
+    (fun (s : Locking.Lock_table.stats) ->
+      Fmt.pf ppf "lock table: %d grants, %d conflicts, %d releases, %d upgrades@."
+        s.grants s.conflicts s.releases s.upgrades)
+    r.lock_stats;
+  Fmt.pf ppf "memory: %a@." Runtime.Sysmem.pp memory;
+  (match Option.map Storage.Wal.stats r.wal with
+  | Some w when w.Storage.Wal.w_syncs > 0 || w.Storage.Wal.w_checkpoints > 0 ->
+    Fmt.pf ppf
+      "wal: %d live records, %d segments (%d bytes on disk), %d fsync \
+       batches, %d checkpoints, %d segments truncated@."
+      w.Storage.Wal.w_records w.Storage.Wal.w_segments
+      w.Storage.Wal.w_disk_bytes w.Storage.Wal.w_syncs
+      w.Storage.Wal.w_checkpoints w.Storage.Wal.w_truncated_segments
+  | _ -> ());
+  (match r.oracle with
+  | None ->
+    Fmt.pf ppf
+      "oracle: skipped (no history kept; the online certifier carries the \
+       verdict)@."
+  | Some o -> Fmt.pf ppf "%a@.oracle verdict: %s@." Oracle.pp o (oracle_verdict o));
+  Option.iter (Fmt.pf ppf "%a@." Oracle.pp_mixed) r.mixed;
+  Option.iter
+    (fun (s : Certifier.summary) ->
+      Fmt.pf ppf "%a@." Certifier.pp_summary s;
+      List.iteri
+        (fun i v -> if i < 5 then Fmt.pf ppf "  %a@." Certifier.pp_violation v)
+        s.violations)
+    r.certifier
+
+let final_json ?(header = []) ?(sections = []) ~memory (r : Pool.result) =
+  let fields =
+    List.map (fun (k, v) -> (k, Some (Trace.Json.to_string v))) header
+    @ [
+        ("metrics", Some (Metrics.to_json r.metrics));
+        ("memory", Some (Runtime.Sysmem.to_json memory));
+        ("locks", Option.map (locks_json ~stripes:r.lock_stripes) r.lock_stats);
+        ("wal", Option.map (fun w -> wal_json (Storage.Wal.stats w)) r.wal);
+        ("oracle", Option.map Oracle.to_json r.oracle);
+        ("mixed", Option.map Oracle.mixed_to_json r.mixed);
+        ("certifier", Option.map Certifier.to_json r.certifier);
+      ]
+    @ List.map (fun (k, v) -> (k, Some v)) sections
+  in
+  "{"
+  ^ String.concat ","
+      (List.filter_map
+         (fun (k, v) -> Option.map (Printf.sprintf "%S:%s" k) v)
+         fields)
+  ^ "}"
+
+(* Levels that promise serializability turn the oracle into an
+   assertion: a dirty history is an engine bug, not a workload fact. 2PL
+   SERIALIZABLE must be pattern-free — locking prevents the very
+   templates; SSI and T/O admit patterns but must show no anomaly. A
+   certified run (a certifier summary is present) adds its own promise
+   at any level: the committed projection must come back acyclic —
+   judged by the certifier's finalized verdict, exact whether or not a
+   history was kept, and by the oracle's when one was. Under the mixed
+   criterion the promise is [mixed_ok] — every transaction got the
+   protection its declared level demands — not global serializability. *)
+let verdict ?promised (r : Pool.result) =
+  let oracle_ok =
+    match (promised, r.oracle) with
+    | Some L.Serializable, Some o -> Oracle.pattern_free o
+    | Some (L.Serializable_snapshot | L.Timestamp_ordering), Some o ->
+      Oracle.clean o
+    | _ -> true
+  in
+  let certify_ok =
+    match r.certifier with
+    | None -> true
+    | Some s -> (
+      match s.criterion with
+      | Certifier.Mixed -> s.mixed_ok
+      | Certifier.Serializability ->
+        s.serializable
+        && Option.fold ~none:true ~some:(fun o -> o.Oracle.serializable) r.oracle)
+  in
+  oracle_ok && certify_ok
+
+let write_trace path ~tool ~level ~mix ~workers ~seed ?events
+    (r : Pool.result) =
+  let events = Option.value ~default:r.events events in
+  let meta =
+    Trace.Chrome.meta ~tool ~level ~mix ~workers ~seed
+      ~history:(Trace.Render.history_line r.history)
+      ~dropped:r.events_dropped ()
+  in
+  Trace.Chrome.write_file path meta events;
+  Format.printf "trace: %d events (%d dropped) written to %s@."
+    (List.length events) r.events_dropped path

@@ -47,7 +47,7 @@ type kind =
       victim_level : string option;
     }
       (** the [src -> dst] edge of class [dep] would have closed
-          [cycle] (witness format of {!History.Digraph.find_cycle});
+          [cycle] (witness format of {!Graph.Digraph.find_cycle});
           attributed to the transaction whose action offered the edge.
           Under the mixed criterion [victim_level] names the declared
           level of the doomed (or first harmed) member *)

@@ -1,7 +1,7 @@
-(* Unit and property tests for History.Digraph: cycle detection with
-   witnesses, topological sorting, strongly connected components. *)
+(* Unit and property tests for Graph.Digraph's offline queries: cycle
+   detection with witnesses and topological sorting. *)
 
-module G = History.Digraph
+module G = Graph.Digraph
 
 let graph edges =
   let g = G.create () in
@@ -54,7 +54,8 @@ let test_cycle_witness_is_real () =
       cycle
 
 let test_diamond_topo () =
-  let g = graph [ (1, 2); (1, 3); (2, 4); (3, 4) ] in
+  let edges = [ (1, 2); (1, 3); (2, 4); (3, 4) ] in
+  let g = graph edges in
   match G.topological_sort g with
   | None -> Alcotest.fail "expected acyclic"
   | Some order ->
@@ -71,24 +72,11 @@ let test_diamond_topo () =
           (Printf.sprintf "%d before %d" a b)
           true
           (pos a < pos b))
-      (G.edges g)
+      edges
 
-let test_sccs () =
-  let g = graph [ (1, 2); (2, 1); (2, 3); (3, 4); (4, 3); (4, 5) ] in
-  let sccs = List.map (List.sort compare) (G.sccs g) in
-  let sorted = List.sort compare sccs in
-  Alcotest.(check (list (list int)))
-    "components" [ [ 1; 2 ]; [ 3; 4 ]; [ 5 ] ] sorted
-
-let test_sccs_acyclic_all_singletons () =
-  let g = graph [ (1, 2); (2, 3); (1, 3) ] in
-  Alcotest.(check (list (list int)))
-    "singletons"
-    [ [ 1 ]; [ 2 ]; [ 3 ] ]
-    (List.sort compare (G.sccs g))
-
-(* Property: a graph is acyclic iff all SCCs are singletons without self
-   loops, and topological_sort succeeds exactly on acyclic graphs. *)
+(* Properties: topological_sort succeeds exactly on acyclic graphs, every
+   cycle witness is made of real edges, and every order respects every
+   edge. *)
 let gen_edges =
   QCheck2.Gen.(list_size (0 -- 30) (pair (1 -- 8) (1 -- 8)))
 
@@ -123,7 +111,7 @@ let prop_topo_respects_edges =
         List.iteri (fun i x -> Hashtbl.replace pos x i) order;
         List.for_all
           (fun (a, b) -> Hashtbl.find pos a < Hashtbl.find pos b)
-          (G.edges g))
+          edges)
 
 let suite =
   [
@@ -134,8 +122,6 @@ let suite =
     Alcotest.test_case "two-node cycle" `Quick test_two_cycle;
     Alcotest.test_case "cycle witness has real edges" `Quick test_cycle_witness_is_real;
     Alcotest.test_case "diamond topological order" `Quick test_diamond_topo;
-    Alcotest.test_case "strongly connected components" `Quick test_sccs;
-    Alcotest.test_case "acyclic sccs are singletons" `Quick test_sccs_acyclic_all_singletons;
     prop_topo_iff_acyclic;
     prop_cycle_witness_valid;
     prop_topo_respects_edges;

@@ -2,12 +2,11 @@
    for the Pearce-Kelly structure's contract — the topological-order
    invariant after every insertion, witness validity at the rejected
    closing edge, duplicate handling, deletions — plus a property hunt:
-   random edge sequences must agree with the offline History.Digraph
+   random edge sequences must agree with Digraph's offline depth-first
    acyclicity verdict at every step. *)
 
 module D = Graph.Digraph
 module I = Graph.Incremental
-module Off = History.Digraph
 
 (* {2 The order invariant}
 
@@ -167,7 +166,7 @@ let test_remove_out_edges () =
 (* {2 Agreement with the offline graph}
 
    Feed random edge offers (cycles likely) to the incremental structure
-   and mirror the *accepted* ones into History.Digraph. At every step:
+   and mirror the *accepted* ones into a plain Digraph. At every step:
    the mirror must be acyclic (the incremental structure never admits a
    cycle), and a rejected offer added to the mirror must make it cyclic
    (no spurious rejection). *)
@@ -183,18 +182,18 @@ let test_agrees_with_offline () =
         match I.add_edge g a b with
         | `Ok ->
           accepted := (a, b) :: !accepted;
-          let off = Off.create () in
-          List.iter (fun (x, y) -> Off.add_edge off x y) !accepted;
-          if not (Off.is_acyclic off) then
+          let off = D.create () in
+          List.iter (fun (x, y) -> D.add_edge off x y) !accepted;
+          if not (D.is_acyclic off) then
             Alcotest.failf "seed %d: admitted a cycle via %d -> %d" seed a b
         | `Exists ->
           if not (List.mem (a, b) !accepted) then
             Alcotest.failf "seed %d: phantom duplicate %d -> %d" seed a b
         | `Cycle w ->
           check_witness g ~src:a ~dst:b w;
-          let off = Off.create () in
-          List.iter (fun (x, y) -> Off.add_edge off x y) ((a, b) :: !accepted);
-          if Off.is_acyclic off then
+          let off = D.create () in
+          List.iter (fun (x, y) -> D.add_edge off x y) ((a, b) :: !accepted);
+          if D.is_acyclic off then
             Alcotest.failf "seed %d: spurious rejection of %d -> %d" seed a b
       done;
       check_order g)

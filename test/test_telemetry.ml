@@ -2,8 +2,9 @@
    Metrics recording (the delta of two snapshots must equal what was
    recorded between them), monotonicity of live snapshots under
    concurrent recording domains, the STATS JSON round trip
-   (Metrics.to_json -> Trace.Json.parse -> Window.of_json), and the
-   Prometheus writer's output shape. *)
+   (Metrics.to_json -> Trace.Json.parse -> Window.of_json), the
+   Prometheus writer's output shape, and the final run report's shared
+   schema and exit verdict. *)
 
 module Metrics = Runtime.Metrics
 module W = Telemetry.Window
@@ -198,6 +199,81 @@ let test_prometheus_shape () =
   has "# TYPE lab_queue gauge\n";
   has "lab_queue 3.5\n"
 
+(* {2 The final run report} *)
+
+let parse_or_fail what json =
+  match J.parse json with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "%s did not parse: %a" what J.pp_error e
+
+let section_keys what name j =
+  match J.member name j with
+  | Some (J.Obj kvs) -> List.sort compare (List.map fst kvs)
+  | _ -> Alcotest.failf "%s has no %S object" what name
+
+(* A small certified locking run, with one live STATS reading taken as
+   the run starts. *)
+let certified_run () =
+  let live = ref None in
+  let cfg =
+    Runtime.Pool.config ~workers:2
+      ~initial:(Workload.Generators.bank_accounts 8)
+      ~think_us:0. ~seed:3 ~certify:true ()
+  in
+  let gen i =
+    Runtime.Pool.job ~level:L.Serializable
+      (Workload.Generators.stress_program Workload.Generators.Transfer ~seed:3
+         ~accounts:8 ~hot:8 ~ops:4 ~index:i)
+  in
+  let r =
+    Runtime.Pool.run_n cfg ~txns:24 ~gen ~monitor:(fun sample ->
+        live := Some (sample ()))
+  in
+  (r, Option.get !live)
+
+let test_final_json_shares_stats_schema () =
+  let r, live = certified_run () in
+  let final =
+    parse_or_fail "final report"
+      (Telemetry.Report.final_json ~memory:(Runtime.Sysmem.read ()) r
+         ~header:[ ("txns", J.Int 24) ])
+  in
+  let stats =
+    parse_or_fail "STATS reply"
+      (Telemetry.Report.to_json (Telemetry.Report.make live))
+  in
+  Alcotest.(check (option int)) "header field" (Some 24)
+    (Option.bind (J.member "txns" final) J.to_int_opt);
+  List.iter
+    (fun name ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s keys match STATS" name)
+        (section_keys "STATS" name stats)
+        (section_keys "final report" name final))
+    [ "locks"; "wal" ];
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (Printf.sprintf "final report has %s" name)
+        true
+        (J.member name final <> None))
+    [ "metrics"; "memory"; "oracle"; "certifier" ]
+
+let test_verdict_follows_certifier () =
+  let r, _ = certified_run () in
+  Alcotest.(check bool) "certified serializable run passes" true
+    (Telemetry.Report.verdict ~promised:L.Serializable r);
+  let s = Option.get r.Runtime.Pool.certifier in
+  let flipped =
+    {
+      r with
+      Runtime.Pool.certifier =
+        Some { s with Runtime.Certifier.serializable = false };
+    }
+  in
+  Alcotest.(check bool) "a non-serializable certifier verdict fails" false
+    (Telemetry.Report.verdict flipped)
+
 let suite =
   [
     Alcotest.test_case "window delta matches the interval's recording" `Quick
@@ -208,4 +284,8 @@ let suite =
       test_of_json_roundtrip;
     Alcotest.test_case "prometheus exposition shape and escaping" `Quick
       test_prometheus_shape;
+    Alcotest.test_case "final report parses and shares STATS sections" `Quick
+      test_final_json_shares_stats_schema;
+    Alcotest.test_case "verdict rejects a non-serializable certifier" `Quick
+      test_verdict_follows_certifier;
   ]
