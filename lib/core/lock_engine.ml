@@ -69,7 +69,7 @@ type t = {
   trace_m : Mutex.t;
   trace_len : int Atomic.t;      (* = List.length trace, O(1) for tracing *)
   reg_m : Mutex.t;
-  slots : txn_state option array Atomic.t; (* tid-indexed; grown by begin *)
+  slots : txn_state option array Atomic.t; (* ring by tid; grown by begin *)
   predicates : Predicate.t list; (* annotated on writes for the detectors *)
   next_key_locking : bool;       (* phantom guard ablation *)
   update_locks : bool;           (* U locks on for-update fetches (ablation) *)
@@ -135,9 +135,18 @@ let trace t =
 
 let trace_len t = Atomic.get t.trace_len
 
+(* The slots are a ring indexed by [tid] modulo its power-of-two length;
+   an entry belongs to [tid] only if its own [tid] matches. The ring need
+   only span the tids still holding a slot, not every tid ever begun, so
+   its size follows the oldest live transaction rather than the run's
+   length. *)
+let slot a tid = tid land (Array.length a - 1)
+
 let find_state t tid =
   let a = Atomic.get t.slots in
-  if tid >= 0 && tid < Array.length a then a.(tid) else None
+  match a.(slot a tid) with
+  | Some st as s when st.tid = tid -> s
+  | _ -> None
 
 let state t tid =
   match find_state t tid with
@@ -151,17 +160,19 @@ let begin_txn ?(read_only = false) t tid ~level =
     if t.next_key_locking then Protocol.with_next_key protocol else protocol
   in
   Mutex.lock t.reg_m;
-  let a = Atomic.get t.slots in
-  let a =
-    if tid < Array.length a then a
-    else begin
-      let b = Array.make (max (tid + 1) (2 * Array.length a)) None in
-      Array.blit a 0 b 0 (Array.length a);
+  (* Double the ring until [tid]'s slot is free: entries at distinct
+     slots of a ring stay at distinct slots of its double. *)
+  let rec place a =
+    match a.(slot a tid) with
+    | Some st when st.tid <> tid ->
+      let b = Array.make (2 * Array.length a) None in
+      Array.iter (function Some st as e -> b.(slot b st.tid) <- e | None -> ()) a;
       Atomic.set t.slots b;
-      b
-    end
+      place b
+    | _ -> a
   in
-  a.(tid) <-
+  let a = place (Atomic.get t.slots) in
+  a.(slot a tid) <-
     Some
       { tid; protocol; read_only; snapshot_ts = t.commit_ts; status = Active;
         env = Program.empty_env; undo = []; cursors = Hashtbl.create 2 };
@@ -504,20 +515,19 @@ let abort_txn t tid ~reason =
   | Some st when st.status = Active -> rollback t st reason
   | Some _ | None -> ()
 
-(* Release a finished transaction's slot. Tids are dense and never
-   reused, so without this the slot array retains every txn_state (env,
-   undo tail, cursor table) for the whole run — the dominant resident
-   cost of a 10^6-txn out-of-core run. Only terminal transactions are
-   dropped; the guard makes a racing forget of a tid that was never
-   begun (or is somehow still active) harmless. [reg_m] orders the write
-   against the array growth in [begin_txn]. *)
+(* Release a finished transaction's slot. Without this the ring would
+   keep every txn_state (env, undo tail, cursor table) and grow to span
+   the whole run — the dominant resident cost of a 10^6-txn out-of-core
+   run. Only terminal transactions are dropped; the guard makes a racing
+   forget of a tid that was never begun (or is somehow still active)
+   harmless. [reg_m] orders the write against the ring growth in
+   [begin_txn]. *)
 let forget t tid =
   Mutex.lock t.reg_m;
   let a = Atomic.get t.slots in
-  (if tid >= 0 && tid < Array.length a then
-     match a.(tid) with
-     | Some st when st.status <> Active -> a.(tid) <- None
-     | _ -> ());
+  (match a.(slot a tid) with
+  | Some st when st.tid = tid && st.status <> Active -> a.(slot a tid) <- None
+  | _ -> ());
   Mutex.unlock t.reg_m
 
 (* Which shards (store shards, lock buckets, stripe mutexes) a step of

@@ -20,12 +20,10 @@ let create ?rng cfg =
 
 let reset t = t.window_us <- t.cfg.base_us
 
-let next_us t =
+let wait t =
   let slice_us = Random.State.float t.rng t.window_us in
   t.count <- t.count + 1;
   t.window_us <- Float.min t.cfg.cap_us (t.window_us *. t.cfg.multiplier);
-  slice_us
-
-let wait t = Unix.sleepf (next_us t /. 1e6)
+  Unix.sleepf (slice_us /. 1e6)
 
 let waits t = t.count

@@ -21,12 +21,6 @@ val create : ?rng:Random.State.t -> config -> t
 val reset : t -> unit
 (** Back to the base window (call after progress). *)
 
-val next_us : t -> float
-(** Draw the jittered slice a waiter would sleep now and escalate the
-    window — without sleeping. For callers that park instead of blocking
-    (the server's session scheduler): the returned microseconds are the
-    wake delay. Counts as a wait. *)
-
 val wait : t -> unit
 (** Sleep a jittered slice of the current window and escalate it. *)
 

@@ -31,9 +31,9 @@
      single latch.
 
    - Workers never sleep while holding a stripe. A step that comes back
-     [Blocked] releases its stripes and backs off with capped
+     [Blocked] releases its stripes; a batch worker backs off with capped
      exponential jitter before retrying, so one transaction's lock wait
-     costs only its own worker.
+     costs only its own worker, and a server session parks until woken.
 
    - The waits-for graph is a {!Graph.Incremental}: a blocked step
      publishes its edges while still holding the step's stripes, and the
@@ -52,6 +52,12 @@
      step ([Finished]) and restarts the job under a fresh transaction
      id. The closing edge itself is never stored, so a surviving
      deadlock is re-reported by the blocked waiter's next poll.
+
+   - The waits-for graph is also the wait queue: a transaction's
+     in-neighbours are exactly the transactions blocked on it. A
+     transaction that registered a wake callback at begin (a server
+     session) is woken when one of them terminates, when it is chosen as
+     a deadlock victim, or when the certifier dooms it.
 
    - With [certify = true] the same incremental structure, in a second
      instance, certifies serializability online: every recorded action
@@ -215,6 +221,16 @@ type result = {
 
 exception Stuck of string
 
+(* Wake callbacks by tid, registered at begin and dropped at finish. The
+   mutex is a leaf, held only around the table, never around a call. *)
+type wakes = { wm : Mutex.t; by_tid : (int, unit -> unit) Hashtbl.t }
+
+let wake_tid w tid =
+  Mutex.lock w.wm;
+  let f = Hashtbl.find_opt w.by_tid tid in
+  Mutex.unlock w.wm;
+  Option.iter (fun f -> f ()) f
+
 type shared = {
   engine : Engine.t;
   stripes : Stripes.t; (* nstripes key stripes + 1 predicate stripe *)
@@ -223,6 +239,7 @@ type shared = {
   coarse : bool;       (* force the All plan for every step *)
   serial_aux : bool;   (* begin/status need the full stripe set (Mv/TO) *)
   waits : Waits.t;     (* the incremental waits-for graph *)
+  wakes : wakes;       (* per-tid wake callbacks of parked sessions *)
   certifier : Certifier.t option;
   detector : Mutex.t;  (* one confirm-and-break pass at a time *)
   next_tid : int Atomic.t;
@@ -286,7 +303,15 @@ let release_plan sh plan = List.iter (fun i -> Stripes.release sh.stripes i) pla
    cycle, handing back the witness path [holder -> ... -> tid]. The
    rejected closing edge is deliberately not stored: if the deadlock
    survives the break attempt, the blocked waiter's next poll re-reports
-   it against the re-published edges. *)
+   it against the re-published edges.
+
+   Progress removes only the transaction's out-edges (its now-satisfied
+   waits); its in-edges are the waiters still queued on it. [retire]
+   removes the node and wakes those waiters. It runs only once the
+   transaction has terminated — its commit or abort ran under every
+   stripe — so no waiter publishes an edge to it afterwards: a
+   terminated transaction holds nothing, and the engine never reports it
+   as a holder. *)
 
 let set_waiting sh tid holders =
   Waits.remove_out_edges sh.waits tid;
@@ -297,10 +322,10 @@ let set_waiting sh tid holders =
       | `Cycle path -> (match acc with None -> Some path | some -> some))
     None holders
 
-(* Progress drops the transaction's node wholesale — out-edges are its
-   now-satisfied waits, and in-edges are other waiters' stale claims on
-   it, which their own next poll re-publishes if still true. *)
-let clear_waiting sh tid = Waits.remove_node sh.waits tid
+let retire sh tid =
+  let waiters = Waits.preds sh.waits tid in
+  Waits.remove_node sh.waits tid;
+  List.iter (wake_tid sh.wakes) waiters
 
 (* Break the deadlock whose witness [path] ([holder; ...; tid], closed
    by the rejected edge [tid -> holder]) was just reported to this
@@ -308,7 +333,9 @@ let clear_waiting sh tid = Waits.remove_node sh.waits tid
    flight; if each witness edge still stands (a holder releasing
    between our publish and now dissolves the cycle — conservatively
    stale edges can still cost one innocent restart, exactly as under
-   the retired snapshot detector), abort the youngest member. *)
+   the retired snapshot detector), abort the youngest member and wake it
+   and its waiters. Either way the caller's closing edge was never
+   stored, so nothing would wake it: it retries at once. *)
 let break_deadlock sh tid path =
   Mutex.lock sh.detector;
   let plan = all_plan sh in
@@ -318,15 +345,19 @@ let break_deadlock sh tid path =
     | _ -> true
   in
   let verdict =
-    if not (stands path) then `Wait
+    if not (stands path) then `Retry
     else begin
       let cycle = path in
       let victim = List.fold_left max min_int cycle in
       Engine.abort_txn sh.engine victim;
-      clear_waiting sh victim;
+      retire sh victim;
       Metrics.record_deadlock sh.metrics;
       emit sh ~tid:victim (Trace.Event.Deadlock_victim { cycle });
-      if victim = tid then `Self_aborted else `Wait
+      if victim = tid then `Self_aborted
+      else begin
+        wake_tid sh.wakes victim;
+        `Retry
+      end
     end
   in
   release_plan sh plan;
@@ -344,7 +375,7 @@ let abort_self sh ~tid reason =
   let plan = all_plan sh in
   acquire_plan sh ~tid plan;
   Engine.abort_txn ~reason sh.engine tid;
-  clear_waiting sh tid;
+  retire sh tid;
   let actual =
     match Engine.status sh.engine tid with
     | Engine.Aborted r -> r
@@ -419,29 +450,34 @@ let make_shared (cfg : config) ~family =
       ~checkpoint_every:cfg.checkpoint_every ~retain_trace:cfg.keep_history
       ~family ()
   in
+  let wakes = { wm = Mutex.create (); by_tid = Hashtbl.create 64 } in
   let certifier =
     if not cfg.certify then None
     else begin
       (* Event emission rides the acting worker's DLS ring binding, like
          the lock hook: both callbacks fire inside the engine's trace
          critical section on the acting worker's domain. *)
-      let on_edge, on_cycle =
-        match cfg.trace with
-        | None -> (None, None)
-        | Some s ->
-          ( Some
-              (fun ~src ~dst ~dep ->
-                Trace.Sink.emit s ~tid:dst
-                  (Trace.Event.Dep_edge { src; dst; dep })),
-            Some
-              (fun (v : Certifier.violation) ->
-                Trace.Sink.emit s ~tid:v.dst
-                  (Trace.Event.Dep_cycle
-                     { cycle = v.cycle; dep = v.dep; src = v.src; dst = v.dst;
-                       victim_level = v.victim_level })) )
+      let on_edge =
+        Option.map
+          (fun s ~src ~dst ~dep ->
+            Trace.Sink.emit s ~tid:dst (Trace.Event.Dep_edge { src; dst; dep }))
+          cfg.trace
+      in
+      (* A doomed transaction parked on a lock is woken at doom time, so it
+         aborts and releases its own locks now rather than once whatever
+         it waits on finishes. *)
+      let on_cycle (v : Certifier.violation) =
+        Option.iter
+          (fun s ->
+            Trace.Sink.emit s ~tid:v.dst
+              (Trace.Event.Dep_cycle
+                 { cycle = v.cycle; dep = v.dep; src = v.src; dst = v.dst;
+                   victim_level = v.victim_level }))
+          cfg.trace;
+        Option.iter (wake_tid wakes) v.doomed
       in
       Some
-        (Certifier.create ?on_edge ?on_cycle ~batch:cfg.certify_batch
+        (Certifier.create ?on_edge ~on_cycle ~batch:cfg.certify_batch
            ~prune_every:cfg.prune_every ~mode:Certifier.Enforce
            ~criterion:cfg.criterion ~family ())
     end
@@ -455,6 +491,7 @@ let make_shared (cfg : config) ~family =
       coarse = not striped;
       serial_aux = family <> `Locking;
       waits = Waits.create ();
+      wakes;
       certifier;
       detector = Mutex.create ();
       next_tid = Atomic.make 1;
@@ -607,16 +644,18 @@ let live_of_shared sh : live =
    waits-for publication, deadlock break), stall restart, finish. A step
    that blocks returns the wait to its caller instead of sleeping
    through it: the batch worker ({!run_attempt}) sleeps in place, while
-   the server parks the session and serves runnable ones. The caller
-   owns the per-transaction bookkeeping — attempt numbers, backoff
-   state, the step sequence number, accumulated wait time — and feeds
-   it back in for the terminal accounting. *)
+   the server parks the session until its wake fires and serves
+   runnable ones. The caller owns the per-transaction bookkeeping —
+   attempt numbers, backoff state, the step sequence number,
+   accumulated wait time — and feeds it back in for the terminal
+   accounting. *)
 
 type exec = { ecfg : config; esh : shared }
 
 type session_step =
   | Session_progress
   | Session_blocked of { holders : int list }
+  | Session_retry
   | Session_finished
   | Session_aborted of Engine.abort_reason
 
@@ -637,10 +676,17 @@ let heartbeat sh ~worker ~tid =
     Atomic.set sh.hb.(worker) (now_ns ())
   end
 
-let exec_begin ?declared t ~worker ~tid ~job ~name ~attempt ~level ~read_only =
+let exec_begin ?declared ?wake t ~worker ~tid ~job ~name ~attempt ~level
+    ~read_only =
   let sh = t.esh in
   let declared = Option.value declared ~default:level in
   heartbeat sh ~worker ~tid;
+  Option.iter
+    (fun f ->
+      Mutex.lock sh.wakes.wm;
+      Hashtbl.replace sh.wakes.by_tid tid f;
+      Mutex.unlock sh.wakes.wm)
+    wake;
   emit sh ~tid
     (Trace.Event.Attempt_begin
        { job; name; attempt; level = Level.name declared });
@@ -723,11 +769,17 @@ let exec_step ?level t ~worker ~tid ~seq ~start_ns op =
     let stepped =
       match Engine.step sh.engine tid op with
       | Engine.Progress ->
-        clear_waiting sh tid;
+        Waits.remove_out_edges sh.waits tid;
+        (* The multiversion and timestamp engines roll a transaction back
+           inside a step that still reports Progress (first-updater-wins,
+           too-late); its waiters must not wait for the client's next
+           request. Those engines run every step under all stripes. *)
+        if sh.serial_aux && Engine.status sh.engine tid <> Engine.Active then
+          retire sh tid;
         `Progress
       | Engine.Finished ->
         (* terminated from outside: deadlock victim *)
-        clear_waiting sh tid;
+        retire sh tid;
         `Finished
       | Engine.Blocked holders ->
         Metrics.record_block sh.metrics;
@@ -741,10 +793,11 @@ let exec_step ?level t ~worker ~tid ~seq ~start_ns op =
     let outcome =
       match stepped with
       | (`Progress | `Finished) as o -> o
+      | `Blocked ([], None) -> `Retry [] (* no edge stands to wake it *)
       | `Blocked (holders, None) -> `Wait holders
       | `Blocked (holders, Some path) -> (
         match break_deadlock sh tid path with
-        | `Wait -> `Wait holders
+        | `Retry -> `Retry holders
         | `Self_aborted -> `Self_aborted holders)
     in
     emit sh ~tid
@@ -755,7 +808,7 @@ let exec_step ?level t ~worker ~tid ~seq ~start_ns op =
              (match outcome with
              | `Progress -> Trace.Event.Progress
              | `Finished -> Trace.Event.Finished
-             | `Wait hs | `Self_aborted hs -> Trace.Event.Blocked hs);
+             | `Wait hs | `Retry hs | `Self_aborted hs -> Trace.Event.Blocked hs);
            hpos0;
            hpos1;
          });
@@ -763,6 +816,7 @@ let exec_step ?level t ~worker ~tid ~seq ~start_ns op =
     | `Progress -> Session_progress
     | `Finished -> Session_finished
     | `Self_aborted _ -> Session_aborted Engine.Deadlock_victim
+    | `Retry _ -> Session_retry
     | `Wait holders -> Session_blocked { holders })
 
 let exec_abort ?(reason = Engine.User_abort) t ~tid =
@@ -776,7 +830,7 @@ let exec_stall_restart t ~tid =
   let plan = all_plan sh in
   acquire_plan sh ~tid plan;
   Engine.abort_txn sh.engine tid;
-  clear_waiting sh tid;
+  retire sh tid;
   release_plan sh plan;
   Metrics.record_stall sh.metrics;
   emit sh ~tid Trace.Event.Stall_restart
@@ -786,9 +840,12 @@ let exec_live t = live_of_shared t.esh
 
 let exec_finish t ~worker ~tid ~job ~name ~level ~attempt ~start_ns ~wait_ns =
   let sh = t.esh in
-  (* The entry is already cleared by the last step; this sweep only
-     covers defensive corner cases (e.g. a program ending mid-wait). *)
-  clear_waiting sh tid;
+  (* A locking-engine commit is retired here; every other termination
+     already was, and this sweep finds no waiters. *)
+  retire sh tid;
+  Mutex.lock sh.wakes.wm;
+  Hashtbl.remove sh.wakes.by_tid tid;
+  Mutex.unlock sh.wakes.wm;
   let status =
     with_aux_exclusion sh ~tid (fun () -> Engine.status sh.engine tid)
   in
@@ -879,7 +936,7 @@ let run_attempt t ~rng ~bo ~widx ~jidx ~attempt job =
             Unix.sleepf (Random.State.float rng (2. *. cfg.think_us) /. 1e6);
           exec rest
         | Session_finished | Session_aborted _ -> ()
-        | Session_blocked _ ->
+        | Session_blocked _ | Session_retry ->
           if tries >= cfg.max_op_retries then exec_stall_restart t ~tid
           else begin
             let t0 = now_ns () in

@@ -352,11 +352,11 @@ val run_for :
     than sleeping through it. The batch entry points above are clients
     of this interface whose workers sleep a blocked step out in place; a
     server multiplexing sessions ≫ workers instead *parks* the blocked
-    session and serves runnable ones. The caller (a batch worker, or the
-    session scheduler in [lib/server]) owns per-transaction bookkeeping:
-    attempt numbers, backoff state ({!Backoff.next_us} gives a park
-    delay), accumulated wait time, and the step sequence number that
-    addresses fault-plan draws. *)
+    session, serves runnable ones, and resumes it when the wake it
+    registered at {!exec_begin} fires. The caller (a batch worker, or
+    the session scheduler in [lib/server]) owns per-transaction
+    bookkeeping: attempt numbers, backoff state, accumulated wait time,
+    and the step sequence number that addresses fault-plan draws. *)
 
 type exec
 (** A shared execution context: one engine plus the pool's concurrency
@@ -367,8 +367,13 @@ type exec
 type session_step =
   | Session_progress      (** executed; feed the next operation *)
   | Session_blocked of { holders : int list }
-      (** blocked on these transactions: park, retry the same op after a
-          backoff delay *)
+      (** blocked on these transactions: retry the same op once the
+          transaction's wake fires (or, without one, after a backoff
+          delay) *)
+  | Session_retry
+      (** blocked, but no stored wait will wake it (its cycle-closing
+          wait was rejected, or the engine named no holder): retry at
+          once *)
   | Session_finished
       (** the transaction was already terminated from outside (deadlock
           victim, certifier doom observed late); check {!exec_status} *)
@@ -389,6 +394,7 @@ val exec_fresh_tid : exec -> int
 
 val exec_begin :
   ?declared:Isolation.Level.t ->
+  ?wake:(unit -> unit) ->
   exec -> worker:int -> tid:int -> job:int -> name:string -> attempt:int ->
   level:Isolation.Level.t -> read_only:bool -> unit
 (** Begin a transaction and emit its [Attempt_begin] event. [job] is the
@@ -396,7 +402,13 @@ val exec_begin :
     [declared] (default [level]) is the client's requested level: it is
     what the certifier's mixed criterion judges the transaction against
     and what the attempt event reports, while [level] is what the
-    engine executes. *)
+    engine executes.
+
+    [wake], kept until {!exec_finish}, is called when a transaction this
+    one is blocked on terminates, when this one is chosen as a deadlock
+    victim, and when the certifier dooms it. It may be called from any
+    domain, under the engine's stripes, and spuriously; it must not
+    block or call back into the exec. *)
 
 val exec_step :
   ?level:Isolation.Level.t ->
@@ -441,7 +453,7 @@ val exec_finish :
     @raise Stuck if the transaction is somehow still active. *)
 
 val exec_note_wait : exec -> slept_ns:int -> unit
-(** Account a parked backoff delay as lock-wait time. *)
+(** Account a parked blocked step's wait as lock-wait time. *)
 
 val exec_note_retry : exec -> wall_ns:int -> unit
 (** Account a failed attempt's wall time as retry overhead and count the

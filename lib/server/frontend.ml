@@ -225,7 +225,7 @@ let open_session t c ~sid ~req =
             Mutex.lock c.sm;
             Hashtbl.remove c.sessions (Session.sid s);
             Mutex.unlock c.sm)
-          ~level:t.cfg.default_level ~seed:t.cfg.pool.Pool.seed
+          ~kick:(Scheduler.kick t.sched) ~level:t.cfg.default_level
       in
       let task = Scheduler.task (fun ~worker -> Session.pump s ~worker) in
       Session.set_task s task;

@@ -4,98 +4,48 @@
    A task is a pump closure plus a scheduling state. The reader threads
    wake a task when input arrives; a worker picks it off the ready queue
    and pumps it until it reports one of three outcomes: [`Idle] (inbox
-   drained — wait for more input), [`Park due_ns] (its transaction is
-   blocked or backing off — resume when the timer expires, freeing the
-   worker for runnable sessions), or [`Yield] (still runnable — go to
-   the back of the queue so siblings get a turn).
+   drained — wait for more input), [`Park] (its transaction is blocked —
+   sleep until {!kick}ed, freeing the worker for runnable sessions), or
+   [`Yield] (still runnable — go to the back of the queue so siblings
+   get a turn).
 
-   The lost-wakeup race — input arriving between the pump's last inbox
-   check and the worker marking the task idle — is closed by the state
-   machine under the scheduler mutex: a wake hitting a [Running] task
-   marks it [Running_dirty], and the worker's post-pump transition
-   re-queues a dirty task instead of idling it.
+   Parks are untimed. A parked session waits for the transactions it is
+   blocked on, and the runtime kicks it when one of them finishes (or
+   when it is itself chosen as a deadlock or certifier victim): the
+   waits-for graph's in-edges are the wait queues.
 
-   OCaml's stdlib has no [Condition.timedwait], so parked timers are
-   driven by a dedicated waker thread that sleeps until the earliest
-   due time (capped at 200µs, so a newly parked earlier timer is picked
-   up promptly) and moves due tasks to the ready queue. *)
+   Two lost-wakeup races are closed by the state machine under the
+   scheduler mutex. Input arriving between the pump's last inbox check
+   and the worker marking the task idle marks a [Running] task
+   [Running_dirty], and the worker's post-pump transition re-queues a
+   dirty task instead of idling it. A kick arriving while the task is
+   still running — its blocked step has published its wait, but the
+   pump has not returned [`Park] yet — sets [kicked], and the post-pump
+   transition re-queues the park instead of sleeping it. *)
 
-type outcome = [ `Idle | `Park of int | `Yield ]
+type outcome = [ `Idle | `Park | `Yield ]
 
 type state =
   | Idle          (* waiting for input; not owned by the scheduler *)
   | Queued        (* on the ready queue *)
   | Running       (* being pumped by a worker *)
   | Running_dirty (* being pumped; new input arrived meanwhile *)
-  | Parked        (* on the timer heap *)
+  | Parked        (* blocked; waits for a kick *)
 
 type task = {
   pump : worker:int -> outcome;
   mutable state : state;
+  mutable kicked : bool;      (* kicked while running: don't sleep the park *)
   mutable queued_at_ns : int; (* stamp of the last enqueue, for wake latency *)
 }
 
-let task pump = { pump; state = Idle; queued_at_ns = 0 }
-
-(* A binary min-heap of (due_ns, task). *)
-module Heap = struct
-  type t = {
-    mutable arr : (int * task) array;
-    mutable n : int;
-  }
-
-  let dummy =
-    (max_int, { pump = (fun ~worker:_ -> `Idle); state = Idle; queued_at_ns = 0 })
-  let create () = { arr = Array.make 64 dummy; n = 0 }
-  let size h = h.n
-
-  let swap h i j =
-    let t = h.arr.(i) in
-    h.arr.(i) <- h.arr.(j);
-    h.arr.(j) <- t
-
-  let push h due task =
-    if h.n = Array.length h.arr then begin
-      let arr = Array.make (2 * h.n) dummy in
-      Array.blit h.arr 0 arr 0 h.n;
-      h.arr <- arr
-    end;
-    h.arr.(h.n) <- (due, task);
-    let i = ref h.n in
-    h.n <- h.n + 1;
-    while !i > 0 && fst h.arr.((!i - 1) / 2) > fst h.arr.(!i) do
-      swap h !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-
-  let min_due h = if h.n = 0 then None else Some (fst h.arr.(0))
-
-  let pop h =
-    let top = h.arr.(0) in
-    h.n <- h.n - 1;
-    h.arr.(0) <- h.arr.(h.n);
-    h.arr.(h.n) <- dummy;
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let m = ref !i in
-      if l < h.n && fst h.arr.(l) < fst h.arr.(!m) then m := l;
-      if r < h.n && fst h.arr.(r) < fst h.arr.(!m) then m := r;
-      if !m = !i then continue := false
-      else begin
-        swap h !i !m;
-        i := !m
-      end
-    done;
-    top
-end
+let task pump = { pump; state = Idle; kicked = false; queued_at_ns = 0 }
 
 type t = {
   m : Mutex.t;
   cv : Condition.t;        (* workers wait here for ready tasks *)
   ready : task Queue.t;
-  timers : Heap.t;
+  mutable parked : int;    (* tasks in [Parked] *)
   mutable active : int;    (* tasks not in [Idle] *)
   (* Wake-to-run accounting: how long tasks sit on the ready queue
      between enqueue and a worker popping them — the scheduler's own
@@ -106,7 +56,6 @@ type t = {
   mutable wake_ns_max : int;
   mutable stopped : bool;
   mutable workers : unit Domain.t list;
-  mutable waker : Thread.t option;
 }
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
@@ -128,10 +77,17 @@ let wake t task =
   | Queued | Running_dirty | Parked -> ());
   Mutex.unlock t.m
 
-(* How soon a park is worth the timer heap: shorter delays just go to
-   the back of the ready queue, which costs one round-robin lap instead
-   of a (200µs-granular) timer sleep. *)
-let min_park_ns = 150_000
+(* What the task was blocked on has finished: resume a parked task, or
+   keep a running one from parking. *)
+let kick t task =
+  Mutex.lock t.m;
+  (match task.state with
+  | Parked ->
+    t.parked <- t.parked - 1;
+    enqueue_locked t task
+  | Running | Running_dirty -> task.kicked <- true
+  | Idle | Queued -> ());
+  Mutex.unlock t.m
 
 let worker_loop t ~attach widx =
   attach widx;
@@ -145,6 +101,7 @@ let worker_loop t ~attach widx =
     else begin
       let task = Queue.pop t.ready in
       task.state <- Running;
+      task.kicked <- false;
       let waited = now_ns () - task.queued_at_ns in
       t.wakes <- t.wakes + 1;
       if waited > 0 then begin
@@ -168,45 +125,12 @@ let worker_loop t ~attach widx =
       | `Idle | `Yield ->
         (* dirty idle: input raced in while pumping — run it again *)
         enqueue_locked t task
-      | `Park due ->
+      | `Park when task.kicked -> enqueue_locked t task
+      | `Park ->
         (* a park with pending input still parks: the blocked operation
            must complete before the new input can be served anyway *)
-        if due - now_ns () < min_park_ns then enqueue_locked t task
-        else begin
-          task.state <- Parked;
-          Heap.push t.timers due task
-        end);
-      loop ()
-    end
-  in
-  loop ()
-
-let waker_loop t =
-  let rec loop () =
-    Mutex.lock t.m;
-    if t.stopped then Mutex.unlock t.m
-    else begin
-      let now = now_ns () in
-      let fired = ref false in
-      let rec fire () =
-        match Heap.min_due t.timers with
-        | Some due when due <= now ->
-          let _, task = Heap.pop t.timers in
-          (* Parked is the only state a task on the heap can be in. *)
-          enqueue_locked t task;
-          fired := true;
-          fire ()
-        | _ -> ()
-      in
-      fire ();
-      let sleep_ns =
-        match Heap.min_due t.timers with
-        | Some due -> min (due - now) 200_000
-        | None -> 200_000
-      in
-      Mutex.unlock t.m;
-      ignore !fired;
-      Unix.sleepf (float (max 20_000 sleep_ns) /. 1e9);
+        task.state <- Parked;
+        t.parked <- t.parked + 1);
       loop ()
     end
   in
@@ -218,20 +142,18 @@ let create ~workers ~attach =
       m = Mutex.create ();
       cv = Condition.create ();
       ready = Queue.create ();
-      timers = Heap.create ();
+      parked = 0;
       active = 0;
       wakes = 0;
       wake_ns_total = 0;
       wake_ns_max = 0;
       stopped = false;
       workers = [];
-      waker = None;
     }
   in
   t.workers <-
     List.init (max 1 workers) (fun i ->
         Domain.spawn (fun () -> worker_loop t ~attach i));
-  t.waker <- Some (Thread.create waker_loop t);
   t
 
 let active t =
@@ -257,7 +179,7 @@ let gauges t =
   let g =
     {
       runnable = Queue.length t.ready;
-      parked = Heap.size t.timers;
+      parked = t.parked;
       active_tasks = t.active;
       wakes = t.wakes;
       wake_ns_total = t.wake_ns_total;
@@ -268,7 +190,7 @@ let gauges t =
   g
 
 (* Wait (politely) until every task has gone idle; [false] on timeout.
-   Parked tasks count as active — a drain waits out their backoff. *)
+   Parked tasks count as active — a drain waits for their holders. *)
 let quiesce t ~timeout_s =
   let deadline = Unix.gettimeofday () +. timeout_s in
   let rec wait () =
@@ -289,6 +211,4 @@ let stop t =
   Condition.broadcast t.cv;
   Mutex.unlock t.m;
   List.iter Domain.join t.workers;
-  t.workers <- [];
-  Option.iter Thread.join t.waker;
-  t.waker <- None
+  t.workers <- []

@@ -3,16 +3,15 @@
 
     A task is a pump closure plus scheduler-owned state. {!wake} makes a
     task runnable when input arrives; a worker pumps it until it reports
-    [`Idle] (inbox drained), [`Park due_ns] (blocked or backing off —
-    resume when the timer expires, freeing the worker) or [`Yield]
-    (still runnable; requeue behind siblings). A task is pumped by at
-    most one worker at a time, which is what lets sessions mutate their
-    own state without locks; the wake-while-running race is closed by a
-    dirty flag under the scheduler mutex. Parks shorter than ~150µs skip
-    the timer heap and just requeue — one round-robin lap is cheaper
-    than a timer sleep at the waker's 200µs granularity. *)
+    [`Idle] (inbox drained), [`Park] (blocked — sleep, freeing the
+    worker, until {!kick}ed) or [`Yield] (still runnable; requeue behind
+    siblings). Parks are untimed: the runtime kicks a parked session
+    when a transaction it waits on finishes. A task is pumped by at most
+    one worker at a time, which is what lets sessions mutate their own
+    state without locks; the wake-while-running and kick-while-running
+    races are closed by flags under the scheduler mutex. *)
 
-type outcome = [ `Idle | `Park of int | `Yield ]
+type outcome = [ `Idle | `Park | `Yield ]
 
 type task
 
@@ -30,12 +29,19 @@ val wake : t -> task -> unit
 (** Input arrived: schedule the task if it is idle, or mark it dirty if
     it is currently being pumped. Idempotent. *)
 
+val kick : t -> task -> unit
+(** What the task waits on has finished: requeue it if parked; if it is
+    being pumped, its next [`Park] requeues instead of sleeping. No
+    effect on an idle or already queued task. Safe to call from any
+    thread, including under the runtime's stripes: the scheduler mutex
+    is a leaf. *)
+
 val active : t -> int
 (** Tasks not currently idle (queued, running or parked). *)
 
 type gauges = {
   runnable : int;  (** tasks on the ready queue right now *)
-  parked : int;  (** tasks sleeping in the timer heap *)
+  parked : int;  (** tasks parked on a blocked operation *)
   active_tasks : int;  (** tasks not idle (runnable + parked + running) *)
   wakes : int;  (** cumulative ready-queue pops *)
   wake_ns_total : int;
@@ -50,7 +56,7 @@ val gauges : t -> gauges
 
 val quiesce : t -> timeout_s:float -> bool
 (** Wait until every task is idle; [false] on timeout. Parked tasks
-    count as active — a drain waits out their backoff. *)
+    count as active — a drain waits for what they are blocked on. *)
 
 val stop : t -> unit
 (** Stop and join the workers once the ready queue drains; parked tasks

@@ -6,11 +6,13 @@
    parked-transaction interface ({!Runtime.Pool.exec_step}): each
    in-transaction request becomes one engine operation. A step that
    blocks does not sleep the worker — the session keeps the operation as
-   [pending], asks its backoff for a delay, and parks; the scheduler
-   resumes it when the timer expires and the pending operation is
-   retried. Everything the batch pool keeps on a worker's stack —
-   attempt numbers, step sequence (fault-plan coordinates), accumulated
-   wait time — lives in the session record instead.
+   [pending] and parks, untimed. Each transaction registers a wake at
+   BEGIN that kicks the session's task; the pool fires it when a
+   transaction this one waits on terminates, or when this one becomes a
+   deadlock or certifier victim, and the resumed pump retries the
+   pending operation. Everything the batch pool keeps on a worker's
+   stack — attempt numbers, step sequence (fault-plan coordinates),
+   accumulated wait time — lives in the session record instead.
 
    A session is only ever pumped by one worker at a time (scheduler
    invariant), so its mutable state needs no lock; only the [inbox] is
@@ -56,7 +58,7 @@ type t = {
   send : req:int -> Protocol.response -> unit;
   emit : tid:int -> Trace.Event.kind -> unit;
   on_close : t -> unit; (* deregister from the connection's table *)
-  bo : Runtime.Backoff.t;
+  kick : Scheduler.task -> unit;
   inbox_m : Mutex.t;
   inbox : (int * Protocol.request) Queue.t;
   mutable level : Level.t;
@@ -68,7 +70,7 @@ type t = {
 }
 
 let create ~sid ~gid ~conn ~exec ~max_op_retries ~draining ~lookup_pred ~send
-    ~emit ~on_close ~level ~seed =
+    ~emit ~on_close ~kick ~level =
   {
     sid;
     gid;
@@ -80,10 +82,7 @@ let create ~sid ~gid ~conn ~exec ~max_op_retries ~draining ~lookup_pred ~send
     send;
     emit;
     on_close;
-    bo =
-      Runtime.Backoff.create
-        ~rng:(Random.State.make [| 0x5e55; seed; gid |])
-        Runtime.Backoff.default;
+    kick;
     inbox_m = Mutex.create ();
     inbox = Queue.create ();
     level;
@@ -151,8 +150,9 @@ let force_close t ~worker =
 
 (* {2 Stepping one engine operation}
 
-   Outcome: [`Done] (responded — continue with the inbox) or
-   [`Park due_ns] (blocked; the pending record holds the retry). *)
+   Outcome: [`Done] (responded — continue with the inbox), [`Park]
+   (blocked; the pending record holds the retry) or [`Yield] (blocked
+   with nothing to wake it; retry after a lap of the ready queue). *)
 
 let step_pending t ~worker (txn : txn) (p : pending) =
   let seq = txn.seq in
@@ -162,7 +162,6 @@ let step_pending t ~worker (txn : txn) (p : pending) =
       ~start_ns:txn.start_ns p.pop
   with
   | Pool.Session_progress ->
-    Runtime.Backoff.reset t.bo;
     t.pending <- None;
     (* A Commit/Abort op progresses into a terminal state; anything else
        leaves the transaction open. *)
@@ -178,7 +177,7 @@ let step_pending t ~worker (txn : txn) (p : pending) =
     t.pending <- None;
     t.send ~req:p.preq (outcome_response (finish_txn t ~worker txn));
     `Done
-  | Pool.Session_blocked { holders = _ } ->
+  | (Pool.Session_blocked _ | Pool.Session_retry) as blocked ->
     p.tries <- p.tries + 1;
     if p.tries >= t.max_op_retries then begin
       (* Starvation safety valve, as in the batch pool: restart rather
@@ -188,11 +187,11 @@ let step_pending t ~worker (txn : txn) (p : pending) =
       t.send ~req:p.preq (outcome_response (finish_txn t ~worker txn));
       `Done
     end
+    else if blocked = Pool.Session_retry then `Yield
     else begin
-      let delay_ns = int_of_float (Runtime.Backoff.next_us t.bo *. 1e3) in
       p.parked_at <- now_ns ();
       t.emit ~tid:txn.tid (Trace.Event.Session_park { session = t.gid });
-      `Park (p.parked_at + delay_ns)
+      `Park
     end
 
 (* {2 Request dispatch} *)
@@ -258,9 +257,10 @@ let handle t ~worker ~req (request : Protocol.request) =
       let exec_level =
         Isolation.Lattice.strengthen t.level (Pool.exec_family t.exec)
       in
-      Pool.exec_begin ~declared:t.level t.exec ~worker ~tid ~job:t.gid ~name
-        ~attempt ~level:exec_level ~read_only;
-      Runtime.Backoff.reset t.bo;
+      Pool.exec_begin ~declared:t.level
+        ~wake:(fun () -> t.kick (task t))
+        t.exec ~worker ~tid ~job:t.gid ~name ~attempt ~level:exec_level
+        ~read_only;
       t.txn <-
         Some
           {
@@ -325,7 +325,7 @@ let pump t ~worker : Scheduler.outcome =
   if t.closed then `Idle
   else begin
     (* Resume a parked pending operation first: charge the park time as
-       lock wait, then retry it. *)
+       lock wait, then retry it. A spurious wake just parks again. *)
     let resumed =
       match (t.pending, t.txn) with
       | Some p, Some txn when p.parked_at > 0 ->
@@ -339,7 +339,7 @@ let pump t ~worker : Scheduler.outcome =
       | _ -> None
     in
     match resumed with
-    | Some (`Park due) -> `Park due
+    | Some ((`Park | `Yield) as o) -> o
     | Some `Done | None -> (
       (* Serve queued requests until one blocks or the inbox drains.
          A bounded budget per pump keeps one busy session from
@@ -355,7 +355,7 @@ let pump t ~worker : Scheduler.outcome =
           | Some (req, request) -> (
             match handle t ~worker ~req request with
             | `Done -> drain ()
-            | `Park due -> `Park due)
+            | (`Park | `Yield) as o -> o)
         end
       in
       drain ())

@@ -3,8 +3,9 @@
 
     Each in-transaction request becomes one engine operation via
     {!Runtime.Pool.exec_step}. A blocked step does not sleep its worker:
-    the session keeps the operation pending, draws a backoff delay and
-    parks; the scheduler resumes it when the timer expires. All mutable
+    the session keeps the operation pending and parks until the pool
+    fires the wake its transaction registered at BEGIN (a transaction it
+    waits on terminated, or it became a victim). All mutable
     state is owned by the single worker pumping the session at any
     moment — only the inbox is shared with the connection's reader
     thread. *)
@@ -22,13 +23,15 @@ val create :
   send:(req:int -> Protocol.response -> unit) ->
   emit:(tid:int -> Trace.Event.kind -> unit) ->
   on_close:(t -> unit) ->
+  kick:(Scheduler.task -> unit) ->
   level:Isolation.Level.t ->
-  seed:int ->
   t
 (** [sid] is the wire id (connection-scoped); [gid] the global session
     index, used as the journal job id. [send] must be safe to call from
     any worker (the writer queue locks internally); [emit] routes trace
-    events. [on_close] deregisters the session after Session_close. *)
+    events. [on_close] deregisters the session after Session_close.
+    [kick] ({!Scheduler.kick}) resumes the session's parked task; the
+    pool may call it from any domain. *)
 
 val sid : t -> int
 val gid : t -> int

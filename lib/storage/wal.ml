@@ -13,19 +13,21 @@
    data write never happened; a torn [Commit]/[Abort] never took effect,
    so its transaction is still in flight and must be undone.
 
-   Backends. The original in-memory log remains the default (and the
-   vocabulary for crash images); [create ~dir] instead appends to
-   segmented on-disk files — u32-length-prefixed binary records, a new
-   segment every [segment_bytes], the finished segment fsync'd at
-   rotation — so a million-transaction run never materializes its log in
-   memory. Appends only buffer; durability is [sync], which implements
-   *group commit*: the first syncing thread becomes the leader, flushes
-   and fsyncs once for every commit record buffered so far, and every
-   waiter whose commit the batch covered returns without its own fsync.
+   Backends. Both store u32-length-prefixed binary records (frames). The
+   in-memory log, the default and the vocabulary for crash images, keeps
+   its frames in fixed-size chunks, a few bytes per record rather than a
+   heap block per record; [create ~dir] instead appends them to segmented
+   on-disk files — a new segment every [segment_bytes], the finished
+   segment fsync'd at rotation — so a million-transaction run never
+   materializes its log in memory. Appends only buffer; durability is
+   [sync], which implements *group commit*: the first syncing thread
+   becomes the leader, flushes and fsyncs once for every commit record
+   buffered so far, and every waiter whose commit the batch covered
+   returns without its own fsync.
    [checkpoint] writes a fresh-segment checkpoint record carrying the
    store image and the active transactions' undo images, then unlinks
    every segment wholly below it; the in-memory backend mirrors the same
-   truncation by dropping the records list behind the checkpoint, so both
+   truncation by dropping the frames behind the checkpoint, so both
    backends run bounded-memory. Crash images built over a checkpointed
    log lean on Recovery understanding a leading Checkpoint record as the
    replay base. *)
@@ -287,10 +289,17 @@ type disk = {
   mutable truncated : int;        (* segments unlinked below checkpoints *)
 }
 
-type backend = Mem | Disk of disk
+(* In memory, frames fill [cur] until it reaches [chunk_bytes] and is
+   sealed into [sealed]; no frame straddles two chunks. *)
+type mem = {
+  mutable sealed : string list; (* newest first *)
+  cur : Buffer.t;
+  body : Buffer.t;              (* encoding scratch *)
+}
+
+type backend = Mem of mem | Disk of disk
 
 type t = {
-  mutable records : record list; (* newest first; read-back cache for Disk *)
   mutable torn : bool;           (* the newest record is a torn tail *)
   m : Mutex.t;
   mutable count : int;
@@ -304,6 +313,21 @@ let bucket_of_batch n =
   go 0 n
 
 let segment_name i = Printf.sprintf "wal-%08d.seg" i
+
+let chunk_bytes = 65536
+
+let mem_create () =
+  { sealed = []; cur = Buffer.create 256; body = Buffer.create 64 }
+
+let mem_write m r =
+  Buffer.clear m.body;
+  encode_body m.body r;
+  Buffer.add_int32_le m.cur (Int32.of_int (Buffer.length m.body));
+  Buffer.add_buffer m.cur m.body;
+  if Buffer.length m.cur >= chunk_bytes then begin
+    m.sealed <- Buffer.contents m.cur :: m.sealed;
+    Buffer.clear m.cur
+  end
 
 let open_segment dir i =
   let path = Filename.concat dir (segment_name i) in
@@ -319,7 +343,7 @@ let create ?dir ?(segment_bytes = default_segment_bytes)
     ?(group_commit = true) () =
   let backend =
     match dir with
-    | None -> Mem
+    | None -> Mem (mem_create ())
     | Some dir ->
       if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
       let chan, fd = open_segment dir 0 in
@@ -347,7 +371,7 @@ let create ?dir ?(segment_bytes = default_segment_bytes)
           truncated = 0;
         }
   in
-  { records = []; torn = false; m = Mutex.create (); count = 0; backend }
+  { torn = false; m = Mutex.create (); count = 0; backend }
 
 let fsync_quiet fd = try Unix.fsync fd with Unix.Unix_error _ -> ()
 
@@ -384,7 +408,7 @@ let disk_write d r =
 let append log r =
   Mutex.lock log.m;
   (match log.backend with
-  | Mem -> log.records <- r :: log.records
+  | Mem m -> mem_write m r
   | Disk d -> disk_write d r);
   log.count <- log.count + 1;
   Mutex.unlock log.m
@@ -403,7 +427,7 @@ let append log r =
    compares against. *)
 let sync log =
   match log.backend with
-  | Mem -> ()
+  | Mem _ -> ()
   | Disk d ->
     Mutex.lock log.m;
     let target = d.appended_lsn in
@@ -473,8 +497,10 @@ let sync log =
 let checkpoint_record log r =
   Mutex.lock log.m;
   (match log.backend with
-  | Mem ->
-    log.records <- [ r ];
+  | Mem m ->
+    m.sealed <- [];
+    Buffer.clear m.cur;
+    mem_write m r;
     log.count <- 1
   | Disk d ->
     (* make everything below the checkpoint durable, then start fresh *)
@@ -517,7 +543,7 @@ let checkpoint log ~image ~active =
 let close log =
   Mutex.lock log.m;
   (match log.backend with
-  | Mem -> ()
+  | Mem _ -> ()
   | Disk d ->
     flush d.chan;
     fsync_quiet d.fd;
@@ -526,30 +552,29 @@ let close log =
 
 (* {2 Read-back}
 
-   [records] for the disk backend decodes every live segment in index
-   order. A trailing record cut short (length or body incomplete — a real
-   torn tail) is dropped: it never became durable, which is exactly the
-   torn-record rule the in-memory crash images encode explicitly. *)
+   [records] decodes the frames — the in-memory chunks, or every live
+   disk segment, oldest first. A trailing record cut short (length or
+   body incomplete — a real torn tail) is dropped: it never became
+   durable, which is exactly the torn-record rule the in-memory crash
+   images encode explicitly. *)
+
+(* The records framed in [s], consed onto [acc]: newest first. *)
+let decode_frames acc s =
+  let b = Bytes.unsafe_of_string s in
+  let rec go acc pos =
+    if pos + 4 > Bytes.length b then acc
+    else
+      let len = Int32.to_int (Bytes.get_int32_le b pos) in
+      if len < 0 || pos + 4 + len > Bytes.length b then acc
+      else
+        match decode_body (Bytes.sub b (pos + 4) len) with
+        | r -> go (r :: acc) (pos + 4 + len)
+        | exception Truncated -> acc
+  in
+  go acc 0
 
 let decode_segment acc path =
-  let ic = open_in_bin path in
-  let acc = ref acc in
-  (try
-     let hdr = Bytes.create 4 in
-     let rec loop () =
-       match really_input ic hdr 0 4 with
-       | () ->
-         let len = Int32.to_int (Bytes.get_int32_le hdr 0) in
-         if len < 0 || len > 1 lsl 28 then raise Truncated;
-         let body = Bytes.create len in
-         really_input ic body 0 len;
-         acc := decode_body body :: !acc;
-         loop ()
-     in
-     loop ()
-   with End_of_file | Truncated -> ());
-  close_in ic;
-  !acc
+  decode_frames acc (In_channel.with_open_bin path In_channel.input_all)
 
 let disk_segments d =
   Sys.readdir d.dir |> Array.to_list
@@ -557,38 +582,31 @@ let disk_segments d =
   |> List.sort compare
   |> List.map (Filename.concat d.dir)
 
-let records log =
+(* Newest first. *)
+let records_rev log =
   Mutex.lock log.m;
   let rs =
     match log.backend with
-    | Mem -> log.records
+    | Mem m ->
+      List.fold_left decode_frames [] (List.rev (Buffer.contents m.cur :: m.sealed))
     | Disk d ->
       flush d.chan;
       List.fold_left decode_segment [] (disk_segments d)
   in
   Mutex.unlock log.m;
-  List.rev rs
+  rs
 
+let records log = List.rev (records_rev log)
+
+(* Only a crash image is torn, and only in memory. *)
 let torn_tail log =
-  Mutex.lock log.m;
-  let r =
-    if log.torn then (match log.records with r :: _ -> Some r | [] -> None)
-    else None
-  in
-  Mutex.unlock log.m;
-  r
+  if not log.torn then None
+  else match records_rev log with r :: _ -> Some r | [] -> None
 
 let intact log =
-  match log.backend with
-  | Mem ->
-    Mutex.lock log.m;
-    let rs =
-      if log.torn then (match log.records with _ :: rest -> rest | [] -> [])
-      else log.records
-    in
-    Mutex.unlock log.m;
-    List.rev rs
-  | Disk _ -> records log (* a live disk log is never torn *)
+  match records_rev log with
+  | _ :: rest when log.torn -> List.rev rest
+  | rs -> List.rev rs
 
 (* Live (post-truncation) record count; O(1), the monitor polls it. *)
 let length log =
@@ -643,28 +661,25 @@ let take n xs =
   in
   go n [] xs
 
+(* An in-memory log of [records], given in append order. *)
 let mem_of records torn =
-  {
-    records;
-    torn;
-    m = Mutex.create ();
-    count = List.length records;
-    backend = Mem;
-  }
+  let m = mem_create () in
+  List.iter (mem_write m) records;
+  { torn; m = Mutex.create (); count = List.length records; backend = Mem m }
 
 let prefix log n =
   let rs = records log in
   let len = List.length rs in
   if n < 0 || n > len then
     invalid_arg (Fmt.str "Wal.prefix: %d not in [0, %d]" n len);
-  mem_of (List.rev (take n rs)) false
+  mem_of (take n rs) false
 
 let torn_prefix log n =
   let rs = records log in
   let len = List.length rs in
   if n < 1 || n > len then
     invalid_arg (Fmt.str "Wal.torn_prefix: %d not in [1, %d]" n len);
-  mem_of (List.rev (take n rs)) true
+  mem_of (take n rs) true
 
 (* Reopen a log directory after a (real or simulated) crash: decode what
    survived into an in-memory image. A trailing partial record was torn
@@ -681,7 +696,7 @@ let load ~dir =
             truncated = 0 }
   in
   let rs = List.fold_left decode_segment [] (disk_segments d) in
-  mem_of rs false
+  mem_of (List.rev rs) false
 
 (* {2 Telemetry} *)
 
@@ -700,7 +715,7 @@ let stats log =
   Mutex.lock log.m;
   let s =
     match log.backend with
-    | Mem ->
+    | Mem _ ->
       {
         w_records = log.count;
         w_segments = 0;

@@ -26,9 +26,10 @@
 
     {2 Backends}
 
-    [create ()] is the original in-memory log. [create ~dir ()] appends
-    to segmented on-disk files instead — u32-length-prefixed binary
-    records, a new segment every [segment_bytes], the finished segment
+    [create ()] is the in-memory log, holding u32-length-prefixed binary
+    records in 64 KiB chunks. [create ~dir ()] appends the same records
+    to segmented on-disk files instead — a new segment every
+    [segment_bytes], the finished segment
     fsync'd at rotation — with durability batched by {!sync} (group
     commit) and the log kept bounded by {!checkpoint} truncation. Crash
     images built from a disk log ([prefix]/[torn_prefix]/[load]) are
@@ -108,7 +109,7 @@ val checkpoint :
   unit
 (** Write a [Checkpoint] record at the head of a fresh segment and unlink
     every segment wholly below it; the in-memory backend drops the
-    records list behind the checkpoint. The caller must pass a consistent
+    records behind the checkpoint. The caller must pass a consistent
     committed [image] and the undo journals of the transactions [active]
     at that instant (the lock engine holds all stripes when it calls
     this). *)

@@ -13,7 +13,7 @@ module Certifier = Runtime.Certifier
 
 type scheduler = {
   runnable : int;       (* sessions queued for a worker right now *)
-  parked : int;         (* sessions sleeping in the timer heap *)
+  parked : int;         (* sessions parked on a blocked operation *)
   sessions_active : int; (* sessions registered and not closed *)
   wakes : int;          (* cumulative ready-queue pops *)
   wake_wait_mean_us : float; (* mean enqueue-to-run latency *)
@@ -232,7 +232,7 @@ let to_prometheus t =
   | Some s ->
     Prometheus.gauge p ~help:"Sessions queued for a worker"
       "isolation_lab_scheduler_runnable" [ ([], fi s.runnable) ];
-    Prometheus.gauge p ~help:"Sessions sleeping in the timer heap"
+    Prometheus.gauge p ~help:"Sessions parked on a blocked operation"
       "isolation_lab_scheduler_parked" [ ([], fi s.parked) ];
     Prometheus.gauge p "isolation_lab_scheduler_sessions_active"
       [ ([], fi s.sessions_active) ];

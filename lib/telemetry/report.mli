@@ -8,7 +8,7 @@
 
 type scheduler = {
   runnable : int;  (** sessions queued for a worker right now *)
-  parked : int;  (** sessions sleeping in the timer heap *)
+  parked : int;  (** sessions parked on a blocked operation *)
   sessions_active : int;  (** sessions registered and not closed *)
   wakes : int;  (** cumulative ready-queue pops *)
   wake_wait_mean_us : float;  (** mean enqueue-to-run latency *)

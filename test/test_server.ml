@@ -500,6 +500,218 @@ let test_certify_batch_equivalent () =
   Alcotest.(check int)
     "same dooms" sa.Runtime.Certifier.dooms sb.Runtime.Certifier.dooms
 
+(* {2 The scheduler's kick}
+
+   One worker domain and hand-written pumps, so every state transition
+   is driven by the test. *)
+
+module Scheduler = Server.Scheduler
+
+let await ?(timeout_s = 5.) what cond =
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.failf "timed out waiting for %s" what;
+    Thread.delay 0.001
+  done
+
+let with_scheduler f =
+  let sched = Scheduler.create ~workers:1 ~attach:ignore in
+  Fun.protect ~finally:(fun () -> Scheduler.stop sched) (fun () -> f sched)
+
+(* A task that parks on its first pump and goes idle on later ones. *)
+let parking_task () =
+  let pumps = Atomic.make 0 in
+  let task =
+    Scheduler.task (fun ~worker:_ ->
+        if Atomic.fetch_and_add pumps 1 = 0 then `Park else `Idle)
+  in
+  (task, pumps)
+
+let test_kick_resumes_parked () =
+  with_scheduler (fun sched ->
+      let task, pumps = parking_task () in
+      Scheduler.wake sched task;
+      await "the park" (fun () -> (Scheduler.gauges sched).Scheduler.parked = 1);
+      (* input does not resume a parked task: its blocked step comes first *)
+      Scheduler.wake sched task;
+      Thread.delay 0.02;
+      Alcotest.(check int) "still parked after input" 1 (Atomic.get pumps);
+      Scheduler.kick sched task;
+      await "the kicked pump" (fun () -> Atomic.get pumps = 2);
+      await "idle" (fun () -> Scheduler.active sched = 0);
+      Alcotest.(check int) "nothing parked" 0 (Scheduler.gauges sched).Scheduler.parked;
+      (* a kick on an idle task does nothing *)
+      Scheduler.kick sched task;
+      Thread.delay 0.02;
+      Alcotest.(check int) "idle kick: no pump" 2 (Atomic.get pumps);
+      Alcotest.(check int) "idle kick: still idle" 0 (Scheduler.active sched))
+
+let test_kick_during_pump () =
+  with_scheduler (fun sched ->
+      (* The pump is kicked after its step blocked but before it reports
+         [`Park] — what a holder finishing on another domain does. The
+         park must turn into a requeue, not a sleep nobody ends. *)
+      let self = ref None in
+      let pumps = Atomic.make 0 in
+      let task =
+        Scheduler.task (fun ~worker:_ ->
+            if Atomic.fetch_and_add pumps 1 = 0 then begin
+              Scheduler.kick sched (Option.get !self);
+              `Park
+            end
+            else `Idle)
+      in
+      self := Some task;
+      Scheduler.wake sched task;
+      await "the requeued pump" (fun () -> Atomic.get pumps = 2);
+      await "idle" (fun () -> Scheduler.active sched = 0);
+      Alcotest.(check int) "nothing parked" 0 (Scheduler.gauges sched).Scheduler.parked)
+
+let test_parked_gauge () =
+  with_scheduler (fun sched ->
+      let parked, parked_pumps = parking_task () in
+      Scheduler.wake sched parked;
+      await "the park" (fun () -> (Scheduler.gauges sched).Scheduler.parked = 1);
+      (* occupy the only worker, then queue a third task behind it *)
+      let release = Atomic.make false and running = Atomic.make false in
+      let busy =
+        Scheduler.task (fun ~worker:_ ->
+            Atomic.set running true;
+            while not (Atomic.get release) do Thread.delay 0.001 done;
+            `Idle)
+      in
+      let queued, queued_pumps = parking_task () in
+      Scheduler.wake sched busy;
+      await "the busy pump" (fun () -> Atomic.get running);
+      Scheduler.wake sched queued;
+      let g = Scheduler.gauges sched in
+      (* free the worker before checking, so a failure cannot wedge it *)
+      Atomic.set release true;
+      Alcotest.(check int) "parked counts the parked task only" 1 g.Scheduler.parked;
+      Alcotest.(check int) "runnable counts the queued task" 1 g.Scheduler.runnable;
+      Alcotest.(check int) "all three active" 3 g.Scheduler.active_tasks;
+      await "the queued task parks" (fun () -> Atomic.get queued_pumps = 1);
+      await "two parked" (fun () -> (Scheduler.gauges sched).Scheduler.parked = 2);
+      Scheduler.kick sched parked;
+      Scheduler.kick sched queued;
+      await "idle" (fun () -> Scheduler.active sched = 0);
+      Alcotest.(check int) "both resumed once" 4
+        (Atomic.get parked_pumps + Atomic.get queued_pumps);
+      Alcotest.(check int) "nothing parked" 0 (Scheduler.gauges sched).Scheduler.parked)
+
+(* {2 Wake on release over the wire}
+
+   A blocked request parks untimed, so each test bounds every reply with
+   a timeout: a lost wakeup fails the test instead of hanging it. *)
+
+let timeout_s = 5.
+
+let begin_txn cl name =
+  ok_or_fail ("begin " ^ name)
+    (Client.request ~timeout_s cl ~sid:1
+       (P.Begin { read_only = false; attempt = 1; name }))
+
+let write cl k v =
+  ok_or_fail ("write " ^ k) (Client.request ~timeout_s cl ~sid:1 (P.Write (k, v)))
+
+let expect_reply what cl ~req pred =
+  match Client.recv ~timeout_s cl with
+  | Ok (Some (1, r, resp)) when r = req && pred resp -> ()
+  | Ok (Some (_, _, resp)) -> Alcotest.failf "%s: unexpected %a" what P.pp_response resp
+  | Ok None -> Alcotest.failf "%s: no reply (lost wakeup?)" what
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+let expect_commit what cl =
+  match Client.request ~timeout_s cl ~sid:1 P.Commit with
+  | Ok P.Committed -> ()
+  | Ok resp -> Alcotest.failf "%s: unexpected %a" what P.pp_response resp
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+let is_deadlock_abort = function P.Aborted "deadlock_victim" -> true | _ -> false
+
+(* Poll STATS until [n] sessions are parked: the request under test has
+   blocked and published its wait. *)
+let await_parked cl n =
+  let needle = Printf.sprintf {|"parked":%d,|} n in
+  await "a parked session" (fun () ->
+      match Client.request ~timeout_s cl ~sid:0 P.Stats with
+      | Ok (P.Stats_resp body) -> contains body needle
+      | _ -> false)
+
+(* Two clients, one session each, opened in order: transaction ids follow
+   BEGIN order, so the first client's transaction is the older one. *)
+let with_two_sessions f =
+  with_server (fun port ->
+      let a = Client.connect ~host:"127.0.0.1" ~port in
+      let b = Client.connect ~host:"127.0.0.1" ~port in
+      ok_or_fail "open a" (Client.request a ~sid:1 P.Open);
+      ok_or_fail "open b" (Client.request b ~sid:1 P.Open);
+      f a b;
+      ok_or_fail "close a" (Client.request a ~sid:1 P.Close);
+      ok_or_fail "close b" (Client.request b ~sid:1 P.Close);
+      Client.close a;
+      Client.close b)
+
+let test_release_wakes_waiter () =
+  let r, _, () =
+    with_two_sessions (fun a b ->
+        begin_txn a "holder";
+        write a "acct_001" 500;
+        begin_txn b "waiter";
+        let req = Client.send b ~sid:1 (P.Read "acct_001") in
+        (* the holder progresses while the reader is parked on its lock:
+           progress releases nothing, so it must not wake the reader *)
+        await_parked a 1;
+        write a "acct_002" 7;
+        expect_commit "holder" a;
+        expect_reply "the parked read" b ~req (function
+          | P.Value (Some 500) -> true
+          | _ -> false);
+        expect_commit "waiter" b)
+  in
+  match r.Pool.lock_stats with
+  | Some s ->
+    Alcotest.(check int)
+      "the read conflicted once, then waited for the release" 1
+      s.Locking.Lock_table.conflicts
+  | None -> Alcotest.fail "no lock stats"
+
+let test_deadlock_requester_victim () =
+  ignore
+    (with_two_sessions (fun a b ->
+        begin_txn a "older";
+        begin_txn b "younger";
+        write a "acct_001" 1;
+        write b "acct_002" 2;
+        (* the older waits on the younger ... *)
+        let req = Client.send a ~sid:1 (P.Write ("acct_002", 1)) in
+        await_parked b 1;
+        (* ... whose request closes the cycle: it is the victim *)
+        (match Client.request ~timeout_s b ~sid:1 (P.Write ("acct_001", 2)) with
+        | Ok resp when is_deadlock_abort resp -> ()
+        | Ok resp -> Alcotest.failf "requester: unexpected %a" P.pp_response resp
+        | Error e -> Alcotest.failf "requester: %s" e);
+        expect_reply "the survivor's parked write" a ~req (( = ) P.Ok_resp);
+        expect_commit "survivor" a))
+
+let test_deadlock_parked_victim () =
+  ignore
+    (with_two_sessions (fun a b ->
+        begin_txn a "older";
+        begin_txn b "younger";
+        write a "acct_001" 1;
+        write b "acct_002" 2;
+        (* the younger waits on the older and parks ... *)
+        let req = Client.send b ~sid:1 (P.Write ("acct_001", 2)) in
+        await_parked a 1;
+        (* ... the older closes the cycle; the parked younger is the victim
+           and must be woken to learn it, while the requester, whose
+           closing wait was never stored, must be retried at once *)
+        write a "acct_002" 1;
+        expect_reply "the parked victim" b ~req is_deadlock_abort;
+        expect_commit "survivor" a))
+
 let suite =
   [
     Alcotest.test_case "per-session levels land in the journal" `Slow
@@ -520,4 +732,16 @@ let suite =
       test_pool_stop_drains;
     Alcotest.test_case "certifier batching is accounting-equivalent" `Quick
       test_certify_batch_equivalent;
+    Alcotest.test_case "scheduler: kick resumes a parked task only" `Quick
+      test_kick_resumes_parked;
+    Alcotest.test_case "scheduler: kick during a pump requeues its park" `Quick
+      test_kick_during_pump;
+    Alcotest.test_case "scheduler: the parked gauge counts parked tasks" `Quick
+      test_parked_gauge;
+    Alcotest.test_case "a release wakes the parked reader once" `Slow
+      test_release_wakes_waiter;
+    Alcotest.test_case "deadlock: the requester is the victim" `Slow
+      test_deadlock_requester_victim;
+    Alcotest.test_case "deadlock: the parked member is the victim" `Slow
+      test_deadlock_parked_victim;
   ]
