@@ -7,19 +7,14 @@
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe -- tables  -- Tables 1-4 only
      dune exec bench/main.exe -- figure  -- Figure 2 only
-     dune exec bench/main.exe -- histories | recovery | ablation | perf
-     dune exec bench/main.exe -- runtime -- multicore pool, writes
-                                           BENCH_runtime.json *)
+     dune exec bench/main.exe -- histories | recovery | ablation | perf *)
 
 let () =
   let sections =
     match Array.to_list Sys.argv with
     | _ :: args when args <> [] -> args
     | _ ->
-      [
-        "tables"; "figure"; "histories"; "recovery"; "ablation"; "perf";
-        "runtime"; "server";
-      ]
+      [ "tables"; "figure"; "histories"; "recovery"; "ablation"; "perf" ]
   in
   List.iter
     (fun section ->
@@ -41,18 +36,10 @@ let () =
         Sections.phantom_guards ();
         Sections.update_locks ()
       | "perf" -> Perf.all ()
-      | "runtime" -> Runtime_bench.runtime ()
-      | "mixed" -> ignore (Runtime_bench.mixed ())
-      | "server" -> Server_bench.server ()
-      | "all" ->
-        Sections.all ();
-        Perf.all ();
-        Runtime_bench.runtime ();
-        Server_bench.server ()
       | other ->
         Printf.eprintf
           "unknown section %S (expected \
-           tables|table1..4|figure|histories|recovery|ablation|perf|runtime|mixed|server)\n"
+           tables|table1..4|figure|histories|recovery|ablation|perf)\n"
           other;
         exit 2)
     sections

@@ -69,30 +69,29 @@ let family_of_levels levels =
 
 let create ~initial ~predicates ?(stripes = 1) ?(audit = true)
     ?(first_updater_wins = false) ?(next_key_locking = false)
-    ?(update_locks = false) ?wal_dir ?wal_segment_bytes ?wal_group_commit
-    ?checkpoint_every ?retain_trace ~family () =
+    ?(update_locks = false) ?wal_dir ?wal_segment_bytes ?checkpoint_every
+    ?retain_trace ~family () =
   match family with
   | `Locking ->
     Locking
       (Lock_engine.create ~initial ~predicates ~stripes ~audit ~next_key_locking
-         ~update_locks ?wal_dir ?wal_segment_bytes ?wal_group_commit
-         ?checkpoint_every ?retain_trace ())
+         ~update_locks ?wal_dir ?wal_segment_bytes ?checkpoint_every
+         ?retain_trace ())
   | `Mv ->
     Mv
       (Mv_engine.create ~initial ~predicates ~first_updater_wins ?wal_dir
-         ?wal_segment_bytes ?wal_group_commit ?checkpoint_every ?retain_trace
-         ())
+         ?wal_segment_bytes ?checkpoint_every ?retain_trace ())
   | `Timestamp ->
     Timestamp
       (To_engine.create ~initial ~predicates ?wal_dir ?wal_segment_bytes
-         ?wal_group_commit ?checkpoint_every ?retain_trace ())
+         ?checkpoint_every ?retain_trace ())
 
 let create_for_levels ~initial ~predicates ?stripes ?audit ?first_updater_wins
     ?next_key_locking ?update_locks ?wal_dir ?wal_segment_bytes
-    ?wal_group_commit ?checkpoint_every ?retain_trace ~levels () =
+    ?checkpoint_every ?retain_trace ~levels () =
   create ~initial ~predicates ?stripes ?audit ?first_updater_wins
     ?next_key_locking ?update_locks ?wal_dir ?wal_segment_bytes
-    ?wal_group_commit ?checkpoint_every ?retain_trace
+    ?checkpoint_every ?retain_trace
     ~family:(family_of_levels levels) ()
 
 let mv_level = function

@@ -53,7 +53,6 @@ val create :
   ?update_locks:bool ->
   ?wal_dir:string ->
   ?wal_segment_bytes:int ->
-  ?wal_group_commit:bool ->
   ?checkpoint_every:int ->
   ?retain_trace:bool ->
   family:[ `Locking | `Mv | `Timestamp ] ->
@@ -70,11 +69,10 @@ val create :
     First-Committer-Wins to the PostgreSQL-style write-time check.
     [next_key_locking] swaps the locking engine's predicate-lock phantom
     guard for next-key locking. The out-of-core options ([wal_dir],
-    [wal_segment_bytes], [wal_group_commit], [checkpoint_every],
-    [retain_trace]) pass through to every family's create — the locking
-    and timestamp engines log the single-version record set, the
-    multiversion engine logs versioned records
-    (Vinstall/Vcommit/Watermark/Vcheckpoint). *)
+    [wal_segment_bytes], [checkpoint_every], [retain_trace]) pass
+    through to every family's create — the locking and timestamp
+    engines log the single-version record set, the multiversion engine
+    logs versioned records (Vinstall/Vcommit/Watermark/Vcheckpoint). *)
 
 val create_for_levels :
   initial:(key * value) list ->
@@ -86,7 +84,6 @@ val create_for_levels :
   ?update_locks:bool ->
   ?wal_dir:string ->
   ?wal_segment_bytes:int ->
-  ?wal_group_commit:bool ->
   ?checkpoint_every:int ->
   ?retain_trace:bool ->
   levels:Level.t list ->

@@ -93,16 +93,14 @@ let infinity_key = "\255<infinity>"
 
 let create ~initial ~predicates ?(stripes = 1) ?(audit = true)
     ?(next_key_locking = false) ?(update_locks = false) ?wal_dir
-    ?wal_segment_bytes ?wal_group_commit ?(checkpoint_every = 0)
-    ?(retain_trace = true) () =
+    ?wal_segment_bytes ?(checkpoint_every = 0) ?(retain_trace = true) () =
   let stripes = max 1 stripes in
   {
     store = Store.of_list ~shards:stripes initial;
     vstore = Version_store.of_list initial;
     commit_ts = 0;
     locks = Lock_table.create ~stripes ~audit ();
-    wal = Wal.create ?dir:wal_dir ?segment_bytes:wal_segment_bytes
-        ?group_commit:wal_group_commit ();
+    wal = Wal.create ?dir:wal_dir ?segment_bytes:wal_segment_bytes ();
     checkpoint_every;
     commits_since_ckpt = 0;
     retain_trace;

@@ -35,7 +35,6 @@ val create :
   ?update_locks:bool ->
   ?wal_dir:string ->
   ?wal_segment_bytes:int ->
-  ?wal_group_commit:bool ->
   ?checkpoint_every:int ->
   ?retain_trace:bool ->
   unit ->
@@ -51,7 +50,7 @@ val create :
     upgrade deadlocks for blocking.
 
     Out-of-core options: [wal_dir] puts the WAL on disk (segmented, see
-    {!Storage.Wal.create}; [wal_segment_bytes], [wal_group_commit] pass
+    {!Storage.Wal.create}, with group commit; [wal_segment_bytes] passes
     through); [checkpoint_every] > 0 writes a WAL checkpoint — and
     truncates the log behind it — every that many commits (both
     backends); [retain_trace] = false drops the in-memory action list

@@ -92,15 +92,12 @@ type t = {
 type step_outcome = Progress | Blocked of txn list | Finished
 
 let create ~initial ~predicates ?(first_updater_wins = false) ?wal_dir
-    ?wal_segment_bytes ?wal_group_commit ?(checkpoint_every = 0)
-    ?(retain_trace = true) () =
+    ?wal_segment_bytes ?(checkpoint_every = 0) ?(retain_trace = true) () =
   {
     vstore = Version_store.of_list initial;
     now = 0;
     locks = Lock_table.create ();
-    wal =
-      Wal.create ?dir:wal_dir ?segment_bytes:wal_segment_bytes
-        ?group_commit:wal_group_commit ();
+    wal = Wal.create ?dir:wal_dir ?segment_bytes:wal_segment_bytes ();
     checkpoint_every;
     commits_since_ckpt = 0;
     retain_trace;

@@ -41,14 +41,13 @@ val create :
   ?first_updater_wins:bool ->
   ?wal_dir:string ->
   ?wal_segment_bytes:int ->
-  ?wal_group_commit:bool ->
   ?checkpoint_every:int ->
   ?retain_trace:bool ->
   unit ->
   t
 (** Out-of-core options, mirroring {!Lock_engine.create}: [wal_dir] puts
-    the versioned WAL on disk (segmented; [wal_segment_bytes],
-    [wal_group_commit] pass through to {!Storage.Wal.create});
+    the versioned WAL on disk (segmented, with group commit;
+    [wal_segment_bytes] passes through to {!Storage.Wal.create});
     [checkpoint_every] > 0 writes a {!Storage.Wal.record.Vcheckpoint} —
     vacuuming first, then truncating the log behind the image — every
     that many commits; [retain_trace] = false drops the in-memory action

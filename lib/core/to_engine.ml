@@ -94,16 +94,14 @@ type t = {
 
 type step_outcome = Progress | Blocked of txn list | Finished
 
-let create ~initial ~predicates ?wal_dir ?wal_segment_bytes ?wal_group_commit
+let create ~initial ~predicates ?wal_dir ?wal_segment_bytes
     ?(checkpoint_every = 0) ?(retain_trace = true) () =
   {
     store = Store.of_list initial;
     stamps = Hashtbl.create 32;
     writers = Hashtbl.create 8;
     clock = 0;
-    wal =
-      Wal.create ?dir:wal_dir ?segment_bytes:wal_segment_bytes
-        ?group_commit:wal_group_commit ();
+    wal = Wal.create ?dir:wal_dir ?segment_bytes:wal_segment_bytes ();
     checkpoint_every;
     commits_since_ckpt = 0;
     retain_trace;

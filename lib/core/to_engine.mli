@@ -36,7 +36,6 @@ val create :
   predicates:Storage.Predicate.t list ->
   ?wal_dir:string ->
   ?wal_segment_bytes:int ->
-  ?wal_group_commit:bool ->
   ?checkpoint_every:int ->
   ?retain_trace:bool ->
   unit ->
@@ -46,8 +45,8 @@ val create :
     Begin/Update/Commit/Abort records and reuses the single-version
     {!Storage.Recovery} unchanged (strictness excludes P0, so
     before-image undo is sound). Out-of-core options mirror
-    {!Lock_engine.create}: [wal_dir] (segmented on-disk log, with
-    [wal_segment_bytes] and [wal_group_commit]), [checkpoint_every] > 0
+    {!Lock_engine.create}: [wal_dir] (segmented on-disk log with group
+    commit, and [wal_segment_bytes]), [checkpoint_every] > 0
     (checkpoint + truncate every that many commits), [retain_trace] =
     false (drop the in-memory action list; the trace hook and
     {!trace_len} still run). *)

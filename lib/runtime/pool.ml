@@ -24,7 +24,7 @@
      executed. Non-conflicting actions may be recorded in either order;
      both orders are correct linearizations.
 
-     [coarse = true] (the bench's comparison baseline, and the automatic
+     [coarse = true] (the comparison baseline, and the automatic
      mode for the single-threaded multiversion and timestamp engines)
      degenerates the set to one key stripe with every footprint forced
      to All: the unified code path then behaves exactly like the old
@@ -113,8 +113,6 @@ type config = {
   max_attempts : int;
   max_op_retries : int;
   think_us : float;
-  backoff : Backoff.config;
-  retry_backoff : Backoff.config;
   oracle_phenomena : Phenomena.Phenomenon.t list;
   oracle_window : int option;
   seed : int;
@@ -129,7 +127,6 @@ type config = {
   prune_every : int;             (* certifier era-pruning cadence; 0 = off *)
   wal_dir : string option;       (* segmented on-disk WAL; None = in-memory *)
   wal_segment_bytes : int option;(* segment rotation threshold *)
-  wal_group_commit : bool;       (* batch commit fsyncs; false = one per commit *)
   checkpoint_every : int;        (* commits between WAL checkpoints; 0 = never *)
   keep_history : bool;           (* false: out-of-core — drop the trace, skip the oracle *)
   spill_dir : string option;     (* recorder journal spill directory *)
@@ -150,12 +147,11 @@ let config ?(workers = 4) ?(initial = []) ?(predicates = []) ?family
     ?(first_updater_wins = false) ?(next_key_locking = false)
     ?(update_locks = false) ?(stripes = default_stripes) ?(coarse = false)
     ?(max_attempts = 64) ?(max_op_retries = 10_000) ?(think_us = 0.)
-    ?(backoff = Backoff.default) ?(retry_backoff = default_retry_backoff)
     ?(oracle_phenomena = Phenomena.Phenomenon.all) ?oracle_window ?(seed = 1)
     ?trace ?fault ?deadline_us ?watchdog_us ?(certify = false)
     ?(criterion = Certifier.Serializability) ?(levels = [])
     ?(certify_batch = true) ?(prune_every = 4096) ?wal_dir ?wal_segment_bytes
-    ?(wal_group_commit = true) ?(checkpoint_every = 0) ?(keep_history = true)
+    ?(checkpoint_every = 0) ?(keep_history = true)
     ?spill_dir ?stop () =
   {
     workers = max 1 workers;
@@ -170,8 +166,6 @@ let config ?(workers = 4) ?(initial = []) ?(predicates = []) ?family
     max_attempts = max 1 max_attempts;
     max_op_retries = max 1 max_op_retries;
     think_us = Float.max 0. think_us;
-    backoff;
-    retry_backoff;
     oracle_phenomena;
     oracle_window;
     seed;
@@ -186,7 +180,6 @@ let config ?(workers = 4) ?(initial = []) ?(predicates = []) ?family
     prune_every = max 0 prune_every;
     wal_dir;
     wal_segment_bytes;
-    wal_group_commit;
     checkpoint_every = max 0 checkpoint_every;
     keep_history;
     spill_dir;
@@ -446,7 +439,6 @@ let make_shared (cfg : config) ~family =
       ~first_updater_wins:cfg.first_updater_wins
       ~next_key_locking:cfg.next_key_locking ~update_locks:cfg.update_locks
       ?wal_dir:cfg.wal_dir ?wal_segment_bytes:cfg.wal_segment_bytes
-      ~wal_group_commit:cfg.wal_group_commit
       ~checkpoint_every:cfg.checkpoint_every ~retain_trace:cfg.keep_history
       ~family ()
   in
@@ -992,8 +984,8 @@ let worker t ~next_job widx =
   let cfg = t.ecfg in
   exec_attach_worker t ~worker:widx;
   let rng = Random.State.make [| cfg.seed; 0x90c0; widx |] in
-  let bo = Backoff.create ~rng cfg.backoff in
-  let rbo = Backoff.create ~rng cfg.retry_backoff in
+  let bo = Backoff.create ~rng Backoff.default in
+  let rbo = Backoff.create ~rng default_retry_backoff in
   let rec loop () =
     match next_job () with
     | None ->

@@ -97,12 +97,6 @@ type config = {
           transaction's operations. 0 measures raw engine throughput, but
           then transactions are so short they rarely overlap; a realistic
           think time is what makes the stress contend. *)
-  backoff : Backoff.config;  (** blocked-operation waits *)
-  retry_backoff : Backoff.config;
-      (** transaction restarts after a system abort. Resets per job and
-          escalates across attempts; the default window is wider than
-          {!field:backoff}'s, because a restart that comes back too soon
-          meets the same contenders and deadlocks again. *)
   oracle_phenomena : Phenomena.Phenomenon.t list;
       (** detectors the post-run oracle applies *)
   oracle_window : int option;
@@ -163,8 +157,7 @@ type config = {
           section to a list cons, and the dependency-graph work happens
           at the workers' next {!Certifier.doomed} poll — i.e. once per
           engine step — instead of inside the trace lock. Verdicts are
-          identical; [false] restores the unbatched feed (the bench's
-          comparison baseline). *)
+          identical; [false] restores the unbatched feed. *)
   prune_every : int;
       (** certifier era-pruning cadence (default 4096, 0 = off): every
           that many commits the certifier trims settled era-stack
@@ -174,16 +167,11 @@ type config = {
           Verdict-preserving ({!Certifier.create}). *)
   wal_dir : string option;
       (** directory for the locking engine's segmented on-disk WAL
-          (created if missing). [None] (the default) keeps the log in
-          memory, exactly as before. *)
+          (created if missing), which group-commits its fsyncs
+          ({!Storage.Wal.create}'s default). [None] (the default) keeps
+          the log in memory, exactly as before. *)
   wal_segment_bytes : int option;
       (** WAL segment rotation threshold (default 4 MiB). *)
-  wal_group_commit : bool;
-      (** [true] (the default) batches commit fsyncs: the committing
-          worker parks at {!Core.Engine.wal_sync} and one leader fsyncs
-          for everyone queued behind it. [false] fsyncs once per commit
-          — the durability baseline the group-commit speedup is measured
-          against. On-disk logs only. *)
   checkpoint_every : int;
       (** commits between WAL checkpoints (default 0 = never): each
           checkpoint logs the committed store image plus the active
@@ -223,8 +211,6 @@ val config :
   ?max_attempts:int ->
   ?max_op_retries:int ->
   ?think_us:float ->
-  ?backoff:Backoff.config ->
-  ?retry_backoff:Backoff.config ->
   ?oracle_phenomena:Phenomena.Phenomenon.t list ->
   ?oracle_window:int ->
   ?seed:int ->
@@ -239,7 +225,6 @@ val config :
   ?prune_every:int ->
   ?wal_dir:string ->
   ?wal_segment_bytes:int ->
-  ?wal_group_commit:bool ->
   ?checkpoint_every:int ->
   ?keep_history:bool ->
   ?spill_dir:string ->

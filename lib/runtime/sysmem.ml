@@ -34,16 +34,6 @@ let proc_status_kb field =
 let vm_hwm_kb () = proc_status_kb "VmHWM"
 let vm_rss_kb () = proc_status_kb "VmRSS"
 
-(* Reset the kernel's peak-RSS watermark (write "5" to clear_refs), so a
-   bench can measure each cell's own peak rather than the process
-   lifetime maximum. Silently unavailable outside Linux. *)
-let reset_peak () =
-  match open_out "/proc/self/clear_refs" with
-  | oc ->
-    (try output_string oc "5" with Sys_error _ -> ());
-    (try close_out oc with Sys_error _ -> ())
-  | exception Sys_error _ -> ()
-
 let heap_words () =
   let s = Gc.quick_stat () in
   s.Gc.heap_words
@@ -57,7 +47,7 @@ let read () =
     r_heap_words = heap_words ();
   }
 
-(* A JSON object fragment, spliced into stress/chaos/bench rows. *)
+(* A JSON object fragment, the run report's "memory" section. *)
 let to_json r =
   Printf.sprintf {|{"vm_hwm_kb":%d,"vm_rss_kb":%d,"heap_words":%d}|}
     r.r_vm_hwm_kb r.r_vm_rss_kb r.r_heap_words

@@ -8,10 +8,6 @@ val vm_hwm_kb : unit -> int
 val vm_rss_kb : unit -> int
 (** Current resident set size (VmRSS), in kB. *)
 
-val reset_peak : unit -> unit
-(** Reset the kernel's peak-RSS watermark (Linux [clear_refs]); a no-op
-    elsewhere. Lets a bench attribute a peak to one cell. *)
-
 val heap_words : unit -> int
 (** Current OCaml heap size in words ({!Gc.quick_stat}). *)
 

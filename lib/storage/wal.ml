@@ -423,8 +423,7 @@ let append log r =
    *batch* of commits is the whole point (cf. the group-commit section of
    the Postgres recovery chapter); the histogram of commits-per-fsync is
    the measurable evidence. With [group_commit = false] every caller
-   flushes and fsyncs itself — the per-commit-fsync baseline the bench
-   compares against. *)
+   flushes and fsyncs itself — the per-commit-fsync baseline. *)
 let sync log =
   match log.backend with
   | Mem _ -> ()

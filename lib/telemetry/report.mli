@@ -44,7 +44,6 @@ val to_json : t -> string
     in the live STATS reply and in a run's final report. *)
 
 val locks_json : stripes:int -> Locking.Lock_table.stats -> string
-val wal_json : Storage.Wal.stats -> string
 val server_json : server -> string
 
 val to_prometheus : t -> string

@@ -294,6 +294,17 @@ let test_mixed_pool_agrees_with_oracle () =
       (Printf.sprintf "seed %d: no forbidden-for-victim attribution" seed)
       true
       (mixed.Oracle.m_violations = []);
+    (* A SERIALIZABLE victim permits nothing, so the permitted anomaly x
+       victim-level matrix has an empty SERIALIZABLE column. *)
+    let serializable_cells m =
+      List.filter (fun ((l, _), _) -> l = L.Serializable) m
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: no permitted anomaly at SERIALIZABLE" seed)
+      0
+      (List.length
+         (serializable_cells cert.Cert.matrix
+         @ serializable_cells mixed.Oracle.m_matrix));
     (* Aborts are victim-relative: a run whose cycles all harmed nobody
        must not have certifier-doomed anyone. *)
     if cert.Cert.dooms > 0 then
