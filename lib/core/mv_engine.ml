@@ -70,6 +70,7 @@ type t = {
   wal : Wal.t;                    (* versioned records: the MV crash model *)
   checkpoint_every : int;         (* commits between Vcheckpoints; 0 = never *)
   mutable commits_since_ckpt : int;
+  mutable commits_since_vacuum : int;
   retain_trace : bool;   (* keep the action list (out-of-core runs drop it) *)
   mutable trace : Action.t list;  (* newest first *)
   mutable trace_len : int;        (* = List.length trace, O(1) for tracing *)
@@ -100,6 +101,7 @@ let create ~initial ~predicates ?(first_updater_wins = false) ?wal_dir
     wal = Wal.create ?dir:wal_dir ?segment_bytes:wal_segment_bytes ();
     checkpoint_every;
     commits_since_ckpt = 0;
+    commits_since_vacuum = 0;
     retain_trace;
     trace = [];
     trace_len = 0;
@@ -380,6 +382,7 @@ let oldest_active_snapshot t =
    horizon — and the buried (key, writer) pairs feed the prune hook (the
    certifier retires its version-order entries on exactly these). *)
 let vacuum_collect t =
+  t.commits_since_vacuum <- 0;
   let horizon = oldest_active_snapshot t in
   let buried = Version_store.prune_collect t.vstore ~horizon in
   Wal.append t.wal (Wal.Watermark horizon);
@@ -390,14 +393,23 @@ let vacuum_collect t =
 
 let vacuum t = List.length (snd (vacuum_collect t))
 
+(* Version GC has its own commit cadence, independent of checkpoints: a
+   run with checkpoints far apart (or off) would otherwise keep every
+   version chain, and the certifier's version orders and reader tables
+   with them, growing between them. *)
+let vacuum_every = 1024
+
+let maybe_vacuum t =
+  t.commits_since_vacuum <- t.commits_since_vacuum + 1;
+  if t.commits_since_vacuum >= vacuum_every then ignore (vacuum_collect t)
+
 (* Periodic Vcheckpoint. A commit step runs under every stripe, so the
-   transaction table and the version store are consistent here.
-   Checkpoint cadence is also the GC cadence (cf. the lock engine):
-   vacuum first so the image carries only reachable versions, then write
-   the chains at the head of a fresh segment and truncate the log behind
-   them. Active transactions are carried by tid alone — their writes are
-   privately buffered, never in the store, so there is no journal to
-   carry. *)
+   transaction table and the version store are consistent here. A
+   checkpoint vacuums first (restarting the GC cadence) so the image
+   carries only reachable versions, then writes the chains at the head
+   of a fresh segment and truncates the log behind them. Active
+   transactions are carried by tid alone — their writes are privately
+   buffered, never in the store, so there is no journal to carry. *)
 let maybe_checkpoint t =
   if t.checkpoint_every > 0 then begin
     t.commits_since_ckpt <- t.commits_since_ckpt + 1;
@@ -471,6 +483,7 @@ let do_commit t st =
       finish t st;
       emit t (Action.commit st.tid);
       maybe_checkpoint t;
+      maybe_vacuum t;
       Progress)
 
 (* A tid the engine no longer knows (finished and forgotten) already

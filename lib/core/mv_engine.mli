@@ -51,7 +51,9 @@ val create :
     [checkpoint_every] > 0 writes a {!Storage.Wal.record.Vcheckpoint} —
     vacuuming first, then truncating the log behind the image — every
     that many commits; [retain_trace] = false drops the in-memory action
-    list (the trace hook and {!trace_len} still run). *)
+    list (the trace hook and {!trace_len} still run). Whatever the
+    checkpoint setting, the engine also runs {!vacuum} itself every
+    1,024 commits. *)
 
 val begin_txn : ?read_only:bool -> t -> txn -> level:mv_level -> unit
 (** Takes the snapshot (Start-Timestamp) now. [read_only] transactions'
@@ -120,6 +122,7 @@ val vacuum : t -> int
 (** Version garbage collection: discard versions no active or future
     snapshot can observe; returns how many versions were dropped. Logs a
     {!Storage.Wal.record.Watermark} so recovery replays the prune, and
-    feeds the buried versions to the prune hook. Explicit time-travel
+    feeds the buried versions to the prune hook. The engine also calls
+    it every 1,024 commits and at every checkpoint. Explicit time-travel
     reads older than the oldest active snapshot are no longer served
     correctly after a vacuum. *)

@@ -39,8 +39,9 @@
    certifier then dooms the acting transaction (or, for edges not
    attributable to a live actor — commit-time multiversion closures,
    purge re-wires — the youngest still-active cycle member); the pool
-   polls {!doomed} and aborts the victim before its next operation, so
-   the committed projection stays acyclic. In [Observe] mode rejected
+   polls {!doomed} and aborts the victim at a later step — at the latest
+   its commit, where the poll waits for the graph to catch up — so the
+   committed projection stays acyclic. In [Observe] mode rejected
    edges are only recorded. Either way {!finalize} replays the rejected
    edges whose endpoints both committed, in arrival order, over the
    purged graph: the first re-rejection is a genuine committed-
@@ -67,6 +68,7 @@ module Action = History.Action
 module Level = Isolation.Level
 module Spec = Isolation.Spec
 module P = Phenomena.Phenomenon
+module Tids = Set.Make (Int)
 
 type mode = Observe | Enforce
 type family = [ `Locking | `Mv | `Timestamp ]
@@ -146,6 +148,9 @@ type t = {
   preads_of : (int, string list ref) Hashtbl.t;
   status : (int, status) Hashtbl.t;
   doomed_tbl : (int, unit) Hashtbl.t;
+  doomed_pub : Tids.t Atomic.t;
+      (* [doomed_tbl]'s key set, republished under [m] on every change:
+         what a poll reads when another worker holds [m] *)
   (* Mixed criterion: each transaction's declared level, the kinds each
      inserted edge carries (an edge pair can carry several — e.g. both
      ww and rw — and a kind can be predicate-borne), and the permitted
@@ -201,6 +206,7 @@ let create ?on_edge ?on_cycle ?(batch = false) ?(prune_every = 0)
     preads_of = Hashtbl.create 16;
     status = Hashtbl.create 64;
     doomed_tbl = Hashtbl.create 8;
+    doomed_pub = Atomic.make Tids.empty;
     levels = Hashtbl.create 64;
     ekinds = Hashtbl.create 256;
     matrix = Hashtbl.create 16;
@@ -228,6 +234,20 @@ let create ?on_edge ?on_cycle ?(batch = false) ?(prune_every = 0)
 let locked t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
+
+(* Every [doomed_tbl] change goes through these two, under [m], so the
+   published set never lags the table past the end of a critical
+   section — in particular a doom is published before [on_cycle] wakes
+   its victim. *)
+let doom t n =
+  Hashtbl.replace t.doomed_tbl n ();
+  Atomic.set t.doomed_pub (Tids.add n (Atomic.get t.doomed_pub))
+
+let undoom t n =
+  if Hashtbl.mem t.doomed_tbl n then begin
+    Hashtbl.remove t.doomed_tbl n;
+    Atomic.set t.doomed_pub (Tids.remove n (Atomic.get t.doomed_pub))
+  end
 
 let status_of t n = Option.value ~default:Active (Hashtbl.find_opt t.status n)
 let is_active t n = n <> 0 && status_of t n = Active
@@ -414,7 +434,7 @@ let offer ?actor ?(pred = false) ~dep t src dst =
             in
             (match v with
             | Some a ->
-              Hashtbl.replace t.doomed_tbl a ();
+              doom t a;
               t.dooms <- t.dooms + 1
             | None -> t.misses <- t.misses + 1);
             v
@@ -772,7 +792,7 @@ let retire_sources t =
       let succs = Graph.Incremental.succs t.g n in
       Graph.Incremental.remove_node t.g n;
       Hashtbl.remove t.status n;
-      Hashtbl.remove t.doomed_tbl n;
+      undoom t n;
       Hashtbl.remove t.levels n;
       t.pruned_nodes <- t.pruned_nodes + 1;
       go (List.filter retirable succs @ rest)
@@ -912,7 +932,7 @@ let observe_locked t (a : Action.t) =
       maybe_prune t
     | Action.Abort _ ->
       Hashtbl.replace t.status tid Aborted;
-      Hashtbl.remove t.doomed_tbl tid;
+      undoom t tid;
       sv_purge t tid;
       Graph.Incremental.remove_node t.g tid)
   | `Mv -> (
@@ -930,7 +950,7 @@ let observe_locked t (a : Action.t) =
       maybe_prune t
     | Action.Abort _ ->
       Hashtbl.replace t.status tid Aborted;
-      Hashtbl.remove t.doomed_tbl tid;
+      undoom t tid;
       mv_purge t tid;
       Graph.Incremental.remove_node t.g tid)
 
@@ -985,10 +1005,21 @@ let mv_trim t ~buried =
             Hashtbl.remove s.readers w)
         buried)
 
-let doomed t tid =
-  locked t (fun () ->
-      if t.batch then drain_locked t;
-      Hashtbl.mem t.doomed_tbl tid)
+(* The doom poll. A waiting poll (the commit check) takes [m], drains
+   and answers exactly, so no doomed transaction passes its commit. A
+   non-waiting poll does the same when [m] is free; when another worker
+   holds it — typically draining the feed — it answers from the
+   published set instead of queueing behind that work, and a doom still
+   in flight is caught by a later poll. *)
+let doomed ?(wait = true) t tid =
+  let exact () =
+    if t.batch then drain_locked t;
+    Hashtbl.mem t.doomed_tbl tid
+  in
+  if wait then locked t exact
+  else if Mutex.try_lock t.m then
+    Fun.protect ~finally:(fun () -> Mutex.unlock t.m) exact
+  else Tids.mem tid (Atomic.get t.doomed_pub)
 
 (* {2 Live gauges}
 

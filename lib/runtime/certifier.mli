@@ -11,8 +11,9 @@
 
     In [Enforce] mode the transaction whose action closed the cycle is
     doomed on the spot; the worker pool polls {!doomed} and aborts it
-    before its next operation, so anomalies are certified away rather
-    than observed. In [Observe] mode cycles are only recorded.
+    at a later operation — at the latest its commit, where the poll
+    waits for the graph to catch up — so anomalies are certified away
+    rather than observed. In [Observe] mode cycles are only recorded.
     {!finalize} turns either run into a full, non-windowed verdict on
     the committed projection by purging unfinished transactions and
     replaying the rejected edges whose endpoints committed.
@@ -153,9 +154,16 @@ val mv_trim : t -> buried:(string * int) list -> unit
     future snapshot can read a buried version, and every rw edge its
     past readers needed was offered at observation time. *)
 
-val doomed : t -> int -> bool
+val doomed : ?wait:bool -> t -> int -> bool
 (** Has the transaction been doomed for closing a cycle? Polled by
-    workers before each operation. *)
+    workers before each operation. With [~wait:true] (the default) the
+    poll takes the certifier lock, drains the batch buffer and answers
+    exactly — the pool's commit check, so no doomed transaction commits.
+    With [~wait:false] it does the same when the lock is free, but when
+    another thread holds it the poll returns at once with the published
+    doom set (updated under the lock wherever a doom is recorded or
+    dropped, before [on_cycle] fires): a doom still in the buffer is
+    then seen by a later poll, at the latest the commit's. *)
 
 type stats = {
   s_nodes : int;          (** dependency-graph nodes right now *)

@@ -64,8 +64,11 @@
      feeds the {!Certifier} through the engine trace hook, and the
      transaction whose action closes a dependency cycle is doomed on the
      spot. Workers poll {!Certifier.doomed} before each operation and
-     abort the victim ([Certifier_abort]), so the committed projection
-     stays acyclic — anomalies are certified away, not merely observed.
+     abort the victim ([Certifier_abort]). Only the commit's poll waits
+     for the certifier; the others read the published doom set when
+     another worker holds it, so certification overlaps execution and
+     the committed projection still stays acyclic — anomalies are
+     certified away, not merely observed.
 
    - One step path: every transaction, a batch worker's job or a server
      session's, runs through the step interface ([exec_begin],
@@ -277,10 +280,16 @@ let plan_for sh tid op =
   if sh.coarse then all_plan sh
   else stripe_plan ~stripes:sh.nstripes (Engine.footprint sh.engine tid op)
 
+(* The serial engines' latch (every stripe, every step) guards critical
+   sections shorter than a futex round trip, so a contended acquire spins
+   briefly before it parks; striped plans park at once. *)
+let serial_spin = 200
+
 let acquire_plan sh ~tid plan =
+  let spin = if sh.serial_aux then serial_spin else 0 in
   List.iter
     (fun i ->
-      let contended = Stripes.acquire sh.stripes i in
+      let contended = Stripes.acquire ~spin sh.stripes i in
       Metrics.record_stripe_acquire sh.metrics i ~contended;
       if contended && sh.sink <> None then
         emit sh ~tid (Trace.Event.Stripe_wait { stripe = i }))
@@ -690,7 +699,7 @@ let exec_begin ?declared ?wake t ~worker ~tid ~job ~name ~attempt ~level
   | Some c -> Certifier.note_level c ~tid ~level:declared
   | None -> ()
 
-let exec_step ?level t ~worker ~tid ~seq ~start_ns op =
+let exec_step ?level ~retried t ~worker ~tid ~seq ~start_ns op =
   let sh = t.esh and cfg = t.ecfg in
   heartbeat sh ~worker ~tid;
   (* Fault coordinates: the plan draws per (tid, step-consultation seq),
@@ -727,11 +736,14 @@ let exec_step ?level t ~worker ~tid ~seq ~start_ns op =
     Session_aborted (abort_self sh ~tid Engine.Deadlock_victim)
   | _
     when (match sh.certifier with
-         | Some c -> Certifier.doomed c tid
+         | Some c ->
+           let wait = match op with Program.Commit -> true | _ -> false in
+           Certifier.doomed ~wait c tid
          | None -> false) ->
     (* The certifier doomed us for closing a dependency cycle: abort
-       before the next operation (in particular before a commit),
-       keeping the committed projection acyclic. *)
+       before the next operation. Only the commit's poll waits for the
+       graph to catch up; that one keeps the committed projection
+       acyclic. *)
     Metrics.record_certifier_abort ?level sh.metrics;
     Session_aborted (abort_self sh ~tid Engine.Certifier_abort)
   | _ when now_ns () > deadline_at ->
@@ -761,7 +773,9 @@ let exec_step ?level t ~worker ~tid ~seq ~start_ns op =
     let stepped =
       match Engine.step sh.engine tid op with
       | Engine.Progress ->
-        Waits.remove_out_edges sh.waits tid;
+        (* Only a blocked attempt publishes out-edges, so a first try
+           has none to remove. *)
+        if retried then Waits.remove_out_edges sh.waits tid;
         (* The multiversion and timestamp engines roll a transaction back
            inside a step that still reports Progress (first-updater-wins,
            too-late); its waiters must not wait for the client's next
@@ -916,7 +930,8 @@ let run_attempt t ~rng ~bo ~widx ~jidx ~attempt job =
         let s = !seq in
         incr seq;
         match
-          exec_step ~level:job.declared t ~worker:widx ~tid ~seq:s ~start_ns op
+          exec_step ~level:job.declared ~retried:(tries > 0) t ~worker:widx
+            ~tid ~seq:s ~start_ns op
         with
         | Session_progress ->
           Backoff.reset bo;

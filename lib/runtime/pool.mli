@@ -155,9 +155,10 @@ type config = {
       (** batch certifier edge offers (default true): the trace hook only
           buffers each action, shrinking the engine's recorder critical
           section to a list cons, and the dependency-graph work happens
-          at the workers' next {!Certifier.doomed} poll — i.e. once per
-          engine step — instead of inside the trace lock. Verdicts are
-          identical; [false] restores the unbatched feed. *)
+          at the workers' next {!Certifier.doomed} poll that finds the
+          certifier free (every commit's poll waits for it) instead of
+          inside the trace lock. Verdicts are identical; [false]
+          restores the unbatched feed. *)
   prune_every : int;
       (** certifier era-pruning cadence (default 4096, 0 = off): every
           that many commits the certifier trims settled era-stack
@@ -397,13 +398,16 @@ val exec_begin :
 
 val exec_step :
   ?level:Isolation.Level.t ->
+  retried:bool ->
   exec -> worker:int -> tid:int -> seq:int -> start_ns:int ->
   Core.Program.op -> session_step
 (** Execute one operation. [seq] is the per-transaction step-consultation
     counter (addresses the fault plan — increment it per call); [start_ns]
     is the attempt's start stamp (grounds the deadline check). [level]
     feeds the per-level breakdown should the certifier doom the
-    transaction at this step. *)
+    transaction at this step. [retried] says whether an earlier attempt
+    at this same operation blocked: only such an attempt published
+    waits-for edges, so a first try ([false]) skips clearing them. *)
 
 val exec_env : exec -> tid:int -> Core.Program.env
 (** The transaction's observations so far — the read/scan results a

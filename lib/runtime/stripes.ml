@@ -15,12 +15,20 @@ let stripe_of_key t k = Storage.Shard.of_key ~shards:(Array.length t) k
 (* Acquire stripe [i], reporting whether the lock was contended: a failed
    [try_lock] means another worker holds the stripe right now, which is
    the signal the contention counters (and the [Stripe_wait] trace event)
-   want — cheap, and exact enough for a ratio. *)
-let acquire t i =
+   want — cheap, and exact enough for a ratio. A contended acquire retries
+   [try_lock] up to [spin] times before it parks in [Mutex.lock]. *)
+let acquire ?(spin = 0) t i =
   let m = t.(i) in
   if Mutex.try_lock m then false
   else begin
-    Mutex.lock m;
+    let rec spun n =
+      n > 0
+      && begin
+        Domain.cpu_relax ();
+        Mutex.try_lock m || spun (n - 1)
+      end
+    in
+    if not (spun spin) then Mutex.lock m;
     true
   end
 

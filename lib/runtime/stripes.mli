@@ -21,10 +21,12 @@ val stripe_of_key : t -> string -> int
 (** The stripe a key hashes to — {!Storage.Shard.of_key}, the same map
     the sharded store and striped lock table index by. *)
 
-val acquire : t -> int -> bool
+val acquire : ?spin:int -> t -> int -> bool
 (** Lock stripe [i] (must be a valid index), returning [true] iff the
     mutex was contended — i.e. a first [try_lock] failed and the caller
-    had to wait. Pair with {!release}. *)
+    had to wait. A contended acquire retries [try_lock] up to [spin]
+    times (default 0) with {!Domain.cpu_relax} before it parks. Pair
+    with {!release}. *)
 
 val release : t -> int -> unit
 

@@ -158,8 +158,8 @@ let step_pending t ~worker (txn : txn) (p : pending) =
   let seq = txn.seq in
   txn.seq <- seq + 1;
   match
-    Pool.exec_step ~level:txn.level t.exec ~worker ~tid:txn.tid ~seq
-      ~start_ns:txn.start_ns p.pop
+    Pool.exec_step ~level:txn.level ~retried:(p.tries > 0) t.exec ~worker
+      ~tid:txn.tid ~seq ~start_ns:txn.start_ns p.pop
   with
   | Pool.Session_progress ->
     t.pending <- None;

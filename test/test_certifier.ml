@@ -113,6 +113,72 @@ let test_observe_mode_never_dooms () =
   Alcotest.(check int) "no dooms" 0 s.Cert.dooms;
   Alcotest.(check bool) "verdict still falls" false s.Cert.serializable
 
+(* {2 The doom-poll contract}
+
+   A second thread holds the certifier lock by blocking inside the
+   [on_edge] callback of its own flush. Meanwhile a non-waiting poll
+   must answer at once from the published doom set — a doom recorded
+   earlier is visible, one still in the batch buffer is not yet — while
+   a waiting (commit) poll must queue for the lock, drain the buffer and
+   catch the buffered doom. The holder gives up after 5 s, so a poll
+   that wrongly waits fails the timing check instead of hanging. *)
+let test_doom_poll_contract () =
+  let armed = Atomic.make false
+  and held = Atomic.make false
+  and release = Atomic.make false in
+  let rec wait_for flag deadline =
+    if not (Atomic.get flag) && Unix.gettimeofday () < deadline then begin
+      Thread.delay 0.001;
+      wait_for flag deadline
+    end
+  in
+  let on_edge ~src:_ ~dst:_ ~dep:_ =
+    if Atomic.compare_and_set armed true false then begin
+      Atomic.set held true;
+      wait_for release (Unix.gettimeofday () +. 5.)
+    end
+  in
+  let c =
+    Cert.create ~on_edge ~batch:true ~mode:Cert.Enforce ~family:`Locking ()
+  in
+  let feed s = List.iteri (fun i a -> Cert.observe c i a) (h s) in
+  (* T1 closes the first triangle; a waiting poll drains and publishes. *)
+  feed "r1[x=0] w2[x=1] r2[y=0] w3[y=1] r3[z=0] w1[z=1]";
+  Alcotest.(check bool) "T1 doomed (exact poll)" true (Cert.doomed c 1);
+  (* The holder flushes an edge-producing pair and blocks on its edge. *)
+  feed "w7[q=1] r8[q=1]";
+  Atomic.set armed true;
+  let holder = Thread.create (fun () -> Cert.flush c) () in
+  wait_for held (Unix.gettimeofday () +. 5.);
+  Alcotest.(check bool) "the holder has the lock" true (Atomic.get held);
+  (* T4 closes a second triangle, still in the batch buffer. *)
+  feed "r4[a=0] w5[a=1] r5[b=0] w6[b=1] r6[c=0] w4[c=1]";
+  let t0 = Unix.gettimeofday () in
+  let published_1 = Cert.doomed ~wait:false c 1 in
+  let published_4 = Cert.doomed ~wait:false c 4 in
+  let published_2 = Cert.doomed ~wait:false c 2 in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "non-commit polls do not wait" true (elapsed < 1.);
+  Alcotest.(check bool) "published doom is seen" true published_1;
+  Alcotest.(check bool) "buffered doom is not yet published" false published_4;
+  Alcotest.(check bool) "bystander is not doomed" false published_2;
+  (* The commit poll queues behind the holder, then drains. *)
+  let commit_answer = Atomic.make None in
+  let committer =
+    Thread.create
+      (fun () -> Atomic.set commit_answer (Some (Cert.doomed ~wait:true c 4)))
+      ()
+  in
+  Thread.delay 0.05;
+  Alcotest.(check (option bool)) "commit poll waits for the lock" None
+    (Atomic.get commit_answer);
+  Atomic.set release true;
+  Thread.join holder;
+  Thread.join committer;
+  Alcotest.(check (option bool)) "commit poll catches the buffered doom"
+    (Some true) (Atomic.get commit_answer);
+  Alcotest.(check bool) "and publishes it" true (Cert.doomed ~wait:false c 4)
+
 (* {2 The cross-window regression}
 
    Before serializability was decided by full-history replay, the
@@ -220,6 +286,55 @@ let test_serializable_certify_is_noop () =
         0 r.Pool.metrics.Metrics.certifier_aborts)
     seeds
 
+(* The poll contract under real concurrency: two workers with no think
+   time keep the certifier lock busy, so non-commit polls often read the
+   published set. Cycles still never reach the committed projection, and
+   no transaction the certifier doomed ever commits. *)
+let test_two_worker_polls_never_commit_a_doom () =
+  List.iter
+    (fun level ->
+      let dooms = ref 0 in
+      List.iter
+        (fun seed ->
+          let gen i =
+            let p =
+              Generators.stress_program Generators.Hotspot ~seed ~accounts:8
+                ~hot:3 ~ops:4 ~index:i
+            in
+            Pool.job ~name:p.Core.Program.name ~level p
+          in
+          let cfg =
+            Pool.config ~workers:2
+              ~initial:(Generators.bank_accounts 8)
+              ~think_us:0. ~seed ~certify:true ()
+          in
+          let r = Pool.run cfg (Array.init 48 gen) in
+          let tag what = Printf.sprintf "%s seed %d %s" (L.name level) seed what in
+          match r.Pool.certifier with
+          | None -> Alcotest.fail "certifier summary missing"
+          | Some s ->
+            dooms := !dooms + s.Cert.dooms;
+            Alcotest.(check bool) (tag "serializable") true s.Cert.serializable;
+            Alcotest.(check bool) (tag "oracle agrees") true
+              (Option.get r.Pool.oracle).Oracle.serializable;
+            let committed =
+              List.filter_map
+                (function A.Commit t -> Some t | _ -> None)
+                r.Pool.history
+            in
+            List.iter
+              (fun (v : Cert.violation) ->
+                match v.Cert.doomed with
+                | Some d when List.mem d committed ->
+                  Alcotest.failf "%s" (tag (Printf.sprintf "doomed T%d committed" d))
+                | _ -> ())
+              s.Cert.violations)
+        seeds;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: the sweep dooms someone" (L.name level))
+        true (!dooms > 0))
+    [ L.Snapshot; L.Read_committed ]
+
 let suite =
   [
     Alcotest.test_case "replay: serial history" `Quick test_replay_serial;
@@ -237,6 +352,8 @@ let suite =
       test_enforce_dooms_the_closer;
     Alcotest.test_case "observe mode never dooms" `Quick
       test_observe_mode_never_dooms;
+    Alcotest.test_case "doom poll: only the commit poll waits" `Quick
+      test_doom_poll_contract;
     Alcotest.test_case "windowed oracle catches spanning cycle" `Quick
       test_windowed_oracle_catches_spanning_cycle;
     Alcotest.test_case "replay agrees with the oracle (20 seeds x levels)"
@@ -245,4 +362,6 @@ let suite =
       test_enforced_runs_certify_clean;
     Alcotest.test_case "certify at SERIALIZABLE is a no-op (20 seeds)" `Slow
       test_serializable_certify_is_noop;
+    Alcotest.test_case "2 workers never commit a doomed tid (20 seeds)" `Slow
+      test_two_worker_polls_never_commit_a_doom;
   ]

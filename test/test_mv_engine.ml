@@ -330,9 +330,68 @@ let test_prune_preserves_horizon_reads () =
   Alcotest.(check (list (pair (option int) (option int))))
     "reads at and above the horizon unchanged" before after
 
+(* Version GC runs on its own commit cadence: with checkpoints off, the
+   engine still vacuums every 1,024 commits, so chains stay bounded, each
+   prune reaches the WAL as a Watermark, and crash recovery of that log
+   still rebuilds the ideal store. Commit i moves one unit between keys
+   i and i+1 (of 8), so each key takes 256 writes per 1,024 commits and
+   768 over the run: without the cadence its chain would reach 769. *)
+let test_vacuum_cadence_without_checkpoints () =
+  let module VS = Storage.Version_store in
+  let module Wal = Storage.Wal in
+  let nkeys = 8 and cadence = 1024 in
+  let key i = Printf.sprintf "k%d" (i mod nkeys) in
+  let initial = List.init nkeys (fun i -> (key i, 100)) in
+  let e = Core.Mv_engine.create ~initial ~predicates:[] ~checkpoint_every:0 () in
+  let vs = Core.Mv_engine.version_store e in
+  let longest () =
+    List.fold_left (fun acc k -> max acc (List.length (VS.chain vs k))) 0 (VS.keys vs)
+  in
+  let worst = ref 0 in
+  for i = 1 to 3 * cadence do
+    Core.Mv_engine.begin_txn e i ~level:Core.Mv_engine.Snapshot_isolation;
+    let step op =
+      match Core.Mv_engine.step e i op with
+      | Core.Mv_engine.Progress -> ()
+      | _ -> Alcotest.failf "T%d did not progress" i
+    in
+    let from = key i and into = key (i + 1) in
+    step (P.Read from);
+    step (P.Read into);
+    step (P.Write (from, P.read_plus from (-1)));
+    step (P.Write (into, P.read_plus into 1));
+    step P.Commit;
+    Core.Mv_engine.forget e i;
+    worst := max !worst (longest ());
+    if i mod cadence = 0 then
+      Alcotest.(check int)
+        (Printf.sprintf "one version per key after commit %d" i)
+        1 (longest ())
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "chains bounded by one cadence's writes (longest %d)" !worst)
+    true
+    (!worst <= 1 + (2 * cadence / nkeys));
+  let wal = Core.Mv_engine.wal e in
+  let watermarks =
+    List.length
+      (List.filter (function Wal.Watermark _ -> true | _ -> false) (Wal.records wal))
+  in
+  Alcotest.(check int) "one Watermark per cadence" 3 watermarks;
+  Alcotest.(check bool) "recover_mv equals ideal_mv" true
+    (VS.equal
+       (Storage.Recovery.recover_mv ~initial wal).Storage.Recovery.vstate
+       (Storage.Recovery.ideal_mv ~initial wal));
+  Alcotest.(check (list (pair string int))) "recovered state is the live one"
+    (Core.Mv_engine.final_state e)
+    (VS.to_latest_list
+       (Storage.Recovery.recover_mv ~initial wal).Storage.Recovery.vstate)
+
 let suite =
   [
     Alcotest.test_case "vacuum" `Quick test_vacuum;
+    Alcotest.test_case "vacuum cadence without checkpoints" `Quick
+      test_vacuum_cadence_without_checkpoints;
     Alcotest.test_case "prune preserves horizon reads" `Quick
       test_prune_preserves_horizon_reads;
     Alcotest.test_case "SI reads its snapshot" `Quick test_si_reads_snapshot;
