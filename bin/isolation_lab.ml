@@ -647,9 +647,11 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
   in
   if not keep_history then
     Format.printf
-      "out-of-core: history off (%d txns > %d); checkpoints every %d \
-       commits, journal spills to %s%s@."
-      txns out_of_core_threshold checkpoint_every
+      "out-of-core: history off (%s); checkpoints every %d commits, journal \
+       spills to %s%s@."
+      (if history = Some false then "--history false"
+       else Printf.sprintf "%d txns > %d" txns out_of_core_threshold)
+      checkpoint_every
       (Option.value ~default:"(memory)" spill_dir)
       (match wal_dir with
       | Some d -> Printf.sprintf ", wal segments in %s" d

@@ -31,9 +31,10 @@
      single latch.
 
    - Workers never sleep while holding a stripe. A step that comes back
-     [Blocked] releases its stripes; a batch worker backs off with capped
-     exponential jitter before retrying, so one transaction's lock wait
-     costs only its own worker, and a server session parks until woken.
+     [Blocked] releases its stripes and its caller waits until the wake it
+     registered at begin fires: a batch worker parks on its own
+     semaphore, a server session parks its task. One transaction's lock
+     wait costs only its own worker, and ends when the holder terminates.
 
    - The waits-for graph is a {!Graph.Incremental}: a blocked step
      publishes its edges while still holding the step's stripes, and the
@@ -54,10 +55,10 @@
      deadlock is re-reported by the blocked waiter's next poll.
 
    - The waits-for graph is also the wait queue: a transaction's
-     in-neighbours are exactly the transactions blocked on it. A
-     transaction that registered a wake callback at begin (a server
-     session) is woken when one of them terminates, when it is chosen as
-     a deadlock victim, or when the certifier dooms it.
+     in-neighbours are exactly the transactions blocked on it. Every
+     transaction registers a wake callback at begin and is woken when
+     one of them terminates, when it is chosen as a deadlock victim, or
+     when the certifier dooms it.
 
    - With [certify = true] the same incremental structure, in a second
      instance, certifies serializability online: every recorded action
@@ -70,14 +71,14 @@
      the committed projection still stays acyclic — anomalies are
      certified away, not merely observed.
 
-   - One step path: every transaction, a batch worker's job or a server
-     session's, runs through the step interface ([exec_begin],
-     [exec_step], [exec_stall_restart], [exec_finish]). The batch
-     runner is a client of it that sleeps a blocked step out in place;
-     the server parks the session instead.
+   - One step path and one wait rule: every transaction, a batch
+     worker's job or a server session's, runs through the step interface
+     ([exec_begin], [exec_step], [exec_finish]), which also owns the
+     starvation valve. The batch runner parks its worker on a blocked
+     step; the server parks the session and serves others.
 
    - Job dispatch is a lock-free ticket: Atomic.fetch_and_add over the
-     job array (or the generator, for timed runs).
+     job generator's indices.
 
    Transaction ids are globally fresh (an atomic counter), so a retried
    job appears in the history as a new transaction and the recorded
@@ -113,8 +114,6 @@ type config = {
   update_locks : bool;
   stripes : int;
   coarse : bool;
-  max_attempts : int;
-  max_op_retries : int;
   think_us : float;
   oracle_phenomena : Phenomena.Phenomenon.t list;
   oracle_window : int option;
@@ -136,20 +135,19 @@ type config = {
   stop : bool Atomic.t option;   (* drain flag: finish in-flight, take no new jobs *)
 }
 
-(* Restarting a whole transaction is costlier than re-polling one lock,
-   and a retry that comes back too soon meets the same contenders and
-   deadlocks again (the 2PL upgrade storm), so the restart window starts
-   wider than a lock wait and escalates well past a transaction's
-   lifetime. *)
-let default_retry_backoff =
-  { Backoff.base_us = 200.; cap_us = 20_000.; multiplier = 2. }
+(* Attempt budget per batch job. *)
+let max_attempts = 64
+
+(* The starvation valve: an operation that has blocked this many times
+   and blocks again restarts its transaction instead of waiting on. *)
+let max_op_retries = 10_000
 
 let default_stripes = 16
 
 let config ?(workers = 4) ?(initial = []) ?(predicates = []) ?family
     ?(first_updater_wins = false) ?(next_key_locking = false)
     ?(update_locks = false) ?(stripes = default_stripes) ?(coarse = false)
-    ?(max_attempts = 64) ?(max_op_retries = 10_000) ?(think_us = 0.)
+    ?(think_us = 0.)
     ?(oracle_phenomena = Phenomena.Phenomenon.all) ?oracle_window ?(seed = 1)
     ?trace ?fault ?deadline_us ?watchdog_us ?(certify = false)
     ?(criterion = Certifier.Serializability) ?(levels = [])
@@ -166,8 +164,6 @@ let config ?(workers = 4) ?(initial = []) ?(predicates = []) ?family
     update_locks;
     stripes = max 1 stripes;
     coarse;
-    max_attempts = max 1 max_attempts;
-    max_op_retries = max 1 max_op_retries;
     think_us = Float.max 0. think_us;
     oracle_phenomena;
     oracle_window;
@@ -235,7 +231,7 @@ type shared = {
   coarse : bool;       (* force the All plan for every step *)
   serial_aux : bool;   (* begin/status need the full stripe set (Mv/TO) *)
   waits : Waits.t;     (* the incremental waits-for graph *)
-  wakes : wakes;       (* per-tid wake callbacks of parked sessions *)
+  wakes : wakes;       (* per-tid wake callbacks of open transactions *)
   certifier : Certifier.t option;
   detector : Mutex.t;  (* one confirm-and-break pass at a time *)
   next_tid : int Atomic.t;
@@ -243,9 +239,9 @@ type shared = {
   recorder : Recorder.t;
   sink : Trace.Sink.t option;
   (* Per-worker heartbeats for the watchdog: the stamp of the worker's
-     last step entry (0 = not started, max_int = done), and the tid it is
-     currently running — read by the watchdog domain, written only by the
-     owning worker. *)
+     last step entry (0 = not started, max_int = idle: thinking, parked
+     or done), and the tid it is currently running — read by the
+     watchdog domain, written only by the owning worker. *)
   hb : int Atomic.t array;
   hb_tid : int Atomic.t array;
 }
@@ -366,10 +362,10 @@ let break_deadlock sh tid path =
   Mutex.unlock sh.detector;
   verdict
 
-(* Graceful self-abort from outside the program — an injected fault or a
-   blown deadline. The abort touches everything, so it takes every
-   stripe, like the stall safety valve; the attempt then terminates and
-   the job's retry machinery takes over under a fresh tid. *)
+(* Graceful self-abort from outside the program — an injected fault, a
+   blown deadline or the starvation valve. The abort touches everything,
+   so it takes every stripe; the attempt then terminates and the job's
+   retry machinery takes over under a fresh tid. *)
 (* Returns the reason the abort actually landed with: if another actor
    (a deadlock break on some other worker) terminated the transaction
    first, that earlier reason stands and owns the accounting. *)
@@ -389,7 +385,8 @@ let abort_self sh ~tid reason =
 (* {2 The watchdog}
 
    A spare domain polling the per-worker heartbeats. A worker that has
-   not stamped its heartbeat within [threshold_us] is reported — once
+   not stamped its heartbeat within [threshold_us], and is not idle (a
+   think gap, a park on a lock wait, or done), is reported — once
    per stuck episode, i.e. once per stale heartbeat value — as a
    watchdog kick, with a trace event attributed to the stuck worker's
    lane and current tid. The watchdog only observes; recovery is the
@@ -642,14 +639,14 @@ let live_of_shared sh : live =
    Every transaction — a batch worker's job or a server session's — runs
    through the functions below, one engine operation at a time: begin,
    step (fault draw, certifier doom, deadline, stripe plan, engine step,
-   waits-for publication, deadlock break), stall restart, finish. A step
-   that blocks returns the wait to its caller instead of sleeping
-   through it: the batch worker ({!run_attempt}) sleeps in place, while
-   the server parks the session until its wake fires and serves
-   runnable ones. The caller owns the per-transaction bookkeeping —
-   attempt numbers, backoff state, the step sequence number,
-   accumulated wait time — and feeds it back in for the terminal
-   accounting. *)
+   waits-for publication, deadlock break, starvation valve), finish. A
+   step that blocks returns the wait to its caller instead of sleeping
+   through it, and the caller waits for the wake it registered at begin:
+   the batch worker ({!run_attempt}) parks its domain, the server parks
+   the session and serves runnable ones. The caller owns the
+   per-transaction bookkeeping — attempt numbers, blocked tries of the
+   current operation, the step sequence number, accumulated wait time —
+   and feeds it back in for the terminal accounting. *)
 
 type exec = { ecfg : config; esh : shared }
 
@@ -677,17 +674,14 @@ let heartbeat sh ~worker ~tid =
     Atomic.set sh.hb.(worker) (now_ns ())
   end
 
-let exec_begin ?declared ?wake t ~worker ~tid ~job ~name ~attempt ~level
+let exec_begin ?declared ~wake t ~worker ~tid ~job ~name ~attempt ~level
     ~read_only =
   let sh = t.esh in
   let declared = Option.value declared ~default:level in
   heartbeat sh ~worker ~tid;
-  Option.iter
-    (fun f ->
-      Mutex.lock sh.wakes.wm;
-      Hashtbl.replace sh.wakes.by_tid tid f;
-      Mutex.unlock sh.wakes.wm)
-    wake;
+  Mutex.lock sh.wakes.wm;
+  Hashtbl.replace sh.wakes.by_tid tid wake;
+  Mutex.unlock sh.wakes.wm;
   emit sh ~tid
     (Trace.Event.Attempt_begin
        { job; name; attempt; level = Level.name declared });
@@ -699,7 +693,7 @@ let exec_begin ?declared ?wake t ~worker ~tid ~job ~name ~attempt ~level
   | Some c -> Certifier.note_level c ~tid ~level:declared
   | None -> ()
 
-let exec_step ?level ~retried t ~worker ~tid ~seq ~start_ns op =
+let exec_step ?level ~tries t ~worker ~tid ~seq ~start_ns op =
   let sh = t.esh and cfg = t.ecfg in
   heartbeat sh ~worker ~tid;
   (* Fault coordinates: the plan draws per (tid, step-consultation seq),
@@ -775,7 +769,7 @@ let exec_step ?level ~retried t ~worker ~tid ~seq ~start_ns op =
       | Engine.Progress ->
         (* Only a blocked attempt publishes out-edges, so a first try
            has none to remove. *)
-        if retried then Waits.remove_out_edges sh.waits tid;
+        if tries > 0 then Waits.remove_out_edges sh.waits tid;
         (* The multiversion and timestamp engines roll a transaction back
            inside a step that still reports Progress (first-updater-wins,
            too-late); its waiters must not wait for the client's next
@@ -822,24 +816,17 @@ let exec_step ?level ~retried t ~worker ~tid ~seq ~start_ns op =
     | `Progress -> Session_progress
     | `Finished -> Session_finished
     | `Self_aborted _ -> Session_aborted Engine.Deadlock_victim
+    | `Retry _ | `Wait _ when tries >= max_op_retries ->
+      (* The starvation valve: restart rather than wait forever. *)
+      let actual = abort_self sh ~tid Engine.Deadlock_victim in
+      Metrics.record_stall sh.metrics;
+      emit sh ~tid Trace.Event.Stall_restart;
+      Session_aborted actual
     | `Retry _ -> Session_retry
     | `Wait holders -> Session_blocked { holders })
 
 let exec_abort ?(reason = Engine.User_abort) t ~tid =
   ignore (abort_self t.esh ~tid reason : Engine.abort_reason)
-
-(* The starvation safety valve: a transaction that exhausted its blocked
-   retries of one operation restarts rather than waits forever. The
-   abort touches everything, so it takes every stripe. *)
-let exec_stall_restart t ~tid =
-  let sh = t.esh in
-  let plan = all_plan sh in
-  acquire_plan sh ~tid plan;
-  Engine.abort_txn sh.engine tid;
-  retire sh tid;
-  release_plan sh plan;
-  Metrics.record_stall sh.metrics;
-  emit sh ~tid Trace.Event.Stall_restart
 
 let exec_family t = Engine.family t.esh.engine
 let exec_live t = live_of_shared t.esh
@@ -904,13 +891,18 @@ let exec_finalize t = collect_result t.ecfg t.esh
 
    A client of the step interface with its own worker domains: each
    worker pulls jobs off a shared ticket and drives every attempt
-   through [exec_begin] / [exec_step] / [exec_finish], sleeping a
-   blocked step out in place. Think time, the retry policy and the
-   watchdog are batch-only. *)
+   through [exec_begin] / [exec_step] / [exec_finish], parking on its
+   own semaphore while a step is blocked. Think time, the retry policy
+   and the watchdog are batch-only. *)
+
+(* Thinking, parked and done workers are idle, never stuck. The next
+   step entry stamps the heartbeat again. *)
+let idle sh ~worker = Atomic.set sh.hb.(worker) max_int
 
 (* One attempt at a job: begin a fresh transaction, step every
-   operation (waiting out blocks), and report the terminal status. *)
-let run_attempt t ~rng ~bo ~widx ~jidx ~attempt job =
+   operation (parking on blocks until the wake fires), and report the
+   terminal status. *)
+let run_attempt t ~rng ~park ~widx ~jidx ~attempt job =
   let cfg = t.ecfg in
   let tid = exec_fresh_tid t in
   let ops =
@@ -918,9 +910,13 @@ let run_attempt t ~rng ~bo ~widx ~jidx ~attempt job =
     else job.program.Program.ops @ [ Program.Commit ]
   in
   let start_ns = now_ns () in
-  exec_begin ~declared:job.declared t ~worker:widx ~tid ~job:jidx
-    ~name:job.name ~attempt ~level:job.level ~read_only:job.read_only;
-  Backoff.reset bo;
+  (* A late wake meant for an earlier transaction would cost one
+     spurious re-step; drop it before the new wake is registered. *)
+  ignore (Semaphore.Binary.try_acquire park : bool);
+  exec_begin ~declared:job.declared
+    ~wake:(fun () -> Semaphore.Binary.release park)
+    t ~worker:widx ~tid ~job:jidx ~name:job.name ~attempt ~level:job.level
+    ~read_only:job.read_only;
   let waited_ns = ref 0 in
   let seq = ref 0 in
   let rec exec = function
@@ -930,30 +926,30 @@ let run_attempt t ~rng ~bo ~widx ~jidx ~attempt job =
         let s = !seq in
         incr seq;
         match
-          exec_step ~level:job.declared ~retried:(tries > 0) t ~worker:widx
-            ~tid ~seq:s ~start_ns op
+          exec_step ~level:job.declared ~tries t ~worker:widx ~tid ~seq:s
+            ~start_ns op
         with
         | Session_progress ->
-          Backoff.reset bo;
           (* Think time between statements, slept holding no stripes:
              the gap during which other workers interleave — without it
              the stripe hand-off all but serializes short transactions
              on hot keys. *)
-          if cfg.think_us > 0. && rest <> [] then
-            Unix.sleepf (Random.State.float rng (2. *. cfg.think_us) /. 1e6);
+          if cfg.think_us > 0. && rest <> [] then begin
+            idle t.esh ~worker:widx;
+            Unix.sleepf (Random.State.float rng (2. *. cfg.think_us) /. 1e6)
+          end;
           exec rest
         | Session_finished | Session_aborted _ -> ()
-        | Session_blocked _ | Session_retry ->
-          if tries >= cfg.max_op_retries then exec_stall_restart t ~tid
-          else begin
-            let t0 = now_ns () in
-            Backoff.wait bo;
-            let slept = now_ns () - t0 in
-            waited_ns := !waited_ns + slept;
-            exec_note_wait t ~slept_ns:slept;
-            emit t.esh ~tid (Trace.Event.Lock_wait { slept_ns = slept });
-            attempt_op (tries + 1)
-          end
+        | Session_retry -> attempt_op (tries + 1)
+        | Session_blocked _ ->
+          let t0 = now_ns () in
+          idle t.esh ~worker:widx;
+          Semaphore.Binary.acquire park;
+          let slept = now_ns () - t0 in
+          waited_ns := !waited_ns + slept;
+          exec_note_wait t ~slept_ns:slept;
+          emit t.esh ~tid (Trace.Event.Lock_wait { slept_ns = slept });
+          attempt_op (tries + 1)
       in
       attempt_op 0
   in
@@ -967,20 +963,20 @@ let run_attempt t ~rng ~bo ~widx ~jidx ~attempt job =
 (* Retry policy: user aborts are the program's own decision and final;
    every system-initiated abort is retried until the budget runs out.
    The restart backoff resets per job and keeps escalating across the
-   job's attempts — unlike the per-operation backoff, which resets on
-   every successful step. *)
-let run_job t ~rng ~bo ~rbo ~widx jidx job =
+   job's attempts: a restart that comes back too soon meets the same
+   contenders and deadlocks again (the 2PL upgrade storm). *)
+let run_job t ~rng ~park ~rbo ~widx jidx job =
   Backoff.reset rbo;
   let rec go attempt =
     let outcome, tid, wall_ns =
-      run_attempt t ~rng ~bo ~widx ~jidx ~attempt job
+      run_attempt t ~rng ~park ~widx ~jidx ~attempt job
     in
     match outcome with
     | Recorder.Committed | Recorder.Aborted Engine.User_abort -> ()
     | Recorder.Aborted _ ->
       (* The failed attempt's whole wall time is retry overhead, and so is
          the restart backoff that follows it. *)
-      if attempt >= t.ecfg.max_attempts then exec_note_giveup t ~wall_ns
+      if attempt >= max_attempts then exec_note_giveup t ~wall_ns
       else begin
         exec_note_retry t ~wall_ns;
         let t0 = now_ns () in
@@ -999,16 +995,13 @@ let worker t ~next_job widx =
   let cfg = t.ecfg in
   exec_attach_worker t ~worker:widx;
   let rng = Random.State.make [| cfg.seed; 0x90c0; widx |] in
-  let bo = Backoff.create ~rng Backoff.default in
-  let rbo = Backoff.create ~rng default_retry_backoff in
+  let park = Semaphore.Binary.make false in
+  let rbo = Backoff.create ~rng () in
   let rec loop () =
     match next_job () with
-    | None ->
-      (* Done: park the heartbeat so an idle worker is never mistaken
-         for a stuck one while the others drain. *)
-      Atomic.set t.esh.hb.(widx) max_int
+    | None -> idle t.esh ~worker:widx
     | Some (jidx, job) ->
-      run_job t ~rng ~bo ~rbo ~widx jidx job;
+      run_job t ~rng ~park ~rbo ~widx jidx job;
       loop ()
   in
   loop ()
@@ -1041,18 +1034,18 @@ let run_with ?monitor (cfg : config) ~family ~next_job =
   (match mine with Ok () -> () | Error e -> raise e);
   exec_finalize t
 
-
 (* Family inference prefers the declared mix ([cfg.levels]) over the
-   jobs in hand: a generator-mode run materializes one job at a time, so
-   judging the family from [(gen 0).level] alone would accept a
+   first job: a run materializes one job at a time, so judging the
+   family from [(gen 0).level] alone would accept a
    cross-family mix whose first draw looks innocent and then crash (or
    silently mis-run) mid-stream. With the full mix declared up front the
    rejection is immediate and names the offending levels. *)
-let family_for cfg levels =
+let family_for cfg ~gen =
   match cfg.family with
   | Some f -> f
   | None ->
-    Engine.family_of_levels (if cfg.levels <> [] then cfg.levels else levels)
+    Engine.family_of_levels
+      (if cfg.levels <> [] then cfg.levels else [ (gen 0).level ])
 
 (* The drain flag: once set, [next_job] answers None — workers finish
    the job in hand (its retries included) and exit, and the collectors
@@ -1061,24 +1054,10 @@ let family_for cfg levels =
 let draining cfg =
   match cfg.stop with Some s -> Atomic.get s | None -> false
 
-let run ?monitor cfg jobs =
-  let family =
-    family_for cfg (List.map (fun j -> j.level) (Array.to_list jobs))
-  in
-  let next = Atomic.make 0 in
-  let next_job () =
-    if draining cfg then None
-    else
-      let i = Atomic.fetch_and_add next 1 in
-      if i < Array.length jobs then Some (i, jobs.(i)) else None
-  in
-  run_with cfg ?monitor ~family ~next_job
-
-(* Counted generator runs: like [run], but jobs are generated on demand
-   instead of materialized as an array — a million-transaction run holds
-   only the jobs in flight. *)
+(* Counted generator runs: jobs are generated on demand, so a
+   million-transaction run holds only the jobs in flight. *)
 let run_n ?monitor cfg ~txns ~gen =
-  let family = family_for cfg [ (gen 0).level ] in
+  let family = family_for cfg ~gen in
   let next = Atomic.make 0 in
   let next_job () =
     if draining cfg then None
@@ -1089,7 +1068,7 @@ let run_n ?monitor cfg ~txns ~gen =
   run_with cfg ?monitor ~family ~next_job
 
 let run_for ?monitor cfg ~duration_s ~gen =
-  let family = family_for cfg [ (gen 0).level ] in
+  let family = family_for cfg ~gen in
   let deadline = Unix.gettimeofday () +. duration_s in
   let next = Atomic.make 0 in
   let next_job () =

@@ -18,11 +18,12 @@
     always run that way.
 
     Every transaction runs through one step path, the step interface
-    below ({!exec_begin}, {!exec_step}, {!exec_stall_restart},
-    {!exec_finish}); the batch entry points ({!run}, {!run_n},
-    {!run_for}) are its clients, as is the wire server. Blocked batch
-    transactions sleep *outside* their stripes with capped exponential
-    backoff, so lock waits in the engine never idle the other workers.
+    below ({!exec_begin}, {!exec_step}, {!exec_finish}); the batch
+    entry points ({!run_n}, {!run_for}) are its clients, as is the wire
+    server. Both wait the same way: a blocked transaction waits
+    *outside* its stripes until a transaction it waits on terminates,
+    so lock waits in the engine never idle the other workers. A batch
+    worker parks its domain; the server parks the session.
 
     The waits-for graph is a {!Graph.Incremental}: a blocked step
     publishes its edges under its stripes, and the insertion that would
@@ -31,7 +32,8 @@
     stripe and aborts the youngest member, whose job restarts under a
     fresh transaction id. Aborted attempts (deadlock victim,
     First-Committer-Wins, serialization failure, timestamp too-late,
-    certifier doom) are retried up to an attempt budget.
+    certifier doom) are retried up to 64 attempts, after a jittered
+    restart backoff ({!Backoff}).
 
     With [certify = true] the run is additionally certified online: the
     engine trace feeds a {!Certifier} as each action is recorded, and a
@@ -87,11 +89,6 @@ type config = {
       (** force the old coarse-latch behavior: one stripe, every
           footprint treated as All. The comparison baseline for the
           striped path. *)
-  max_attempts : int;  (** attempt budget per job, >= 1 *)
-  max_op_retries : int;
-      (** blocked retries of one operation before the worker aborts its
-          own transaction and restarts the job (starvation safety
-          valve) *)
   think_us : float;
       (** mean think time slept (holding no stripes) between a
           transaction's operations. 0 measures raw engine throughput, but
@@ -105,15 +102,16 @@ type config = {
           anomaly reports stay sound, whole-run serializability becomes
           "no cycle within a window". For long stress runs where the
           polynomial full check dominates wall time. *)
-  seed : int;  (** seeds the per-worker backoff jitter *)
+  seed : int;
+      (** seeds each worker's think times and restart backoff jitter *)
   trace : Trace.Sink.t option;
       (** flight recorder for the structured event trace. [None] (the
           default) costs one branch per instrumentation point; [Some]
           records the full transaction lifecycle — attempts, engine
           steps with their history-position ranges, lock traffic,
-          stripe contention, backoff sleeps, deadlock victims — into
-          per-worker ring buffers that overwrite their oldest events
-          rather than ever blocking a worker. *)
+          stripe contention, lock waits, restart backoffs, deadlock
+          victims — into per-worker ring buffers that overwrite their
+          oldest events rather than ever blocking a worker. *)
   fault : Fault.Plan.t option;
       (** deterministic seeded fault plan, consulted before every step
           (stall / spurious failure / forced victim) and at every commit
@@ -123,13 +121,14 @@ type config = {
   deadline_us : float option;
       (** per-attempt wall-clock budget: an attempt past it aborts itself
           gracefully ([Deadline_exceeded]) and the job retries with a
-          fresh window. Checked before each step, so a blocked or stalled
-          attempt notices on its next poll. *)
+          fresh window. Checked before each step, so a stalled attempt
+          notices on its next step and a parked one once it is woken. *)
   watchdog_us : float option;
       (** stuck-worker threshold: [Some t] spawns a watchdog domain that
           reports (metrics + trace event) any worker whose last step
-          entry is more than [t] microseconds old. Observation only — no
-          recovery action. *)
+          entry is more than [t] microseconds old. A worker thinking
+          between operations or parked on a lock wait is idle, not
+          stuck. Observation only — no recovery action. *)
   certify : bool;
       (** online serializability certification (default false): feed the
           recorded history to a {!Certifier} in [Enforce] mode and abort
@@ -209,8 +208,6 @@ val config :
   ?update_locks:bool ->
   ?stripes:int ->
   ?coarse:bool ->
-  ?max_attempts:int ->
-  ?max_op_retries:int ->
   ?think_us:float ->
   ?oracle_phenomena:Phenomena.Phenomenon.t list ->
   ?oracle_window:int ->
@@ -304,45 +301,42 @@ val stripe_plan : stripes:int -> Core.Engine.footprint -> int list
     the predicate stripe at index [stripes] (always last), at least one
     stripe always. Exposed for tests; the pool uses exactly this plan. *)
 
-val run : ?monitor:((unit -> live) -> unit) -> config -> job array -> result
-(** Execute a fixed batch of jobs to completion. [monitor], if given, is
-    called once after the workers have started, with a sampler that can
-    be polled from any thread for the duration of the run (spawn a
-    thread; the callback itself must return promptly — the calling
-    domain becomes worker 0). The sampler must not be used after [run]
-    returns. *)
-
 val run_n :
   ?monitor:((unit -> live) -> unit) ->
   config -> txns:int -> gen:(int -> job) -> result
-(** [run] with the batch generated on demand: workers call [gen] with
-    indices [0 .. txns - 1] and stop. Equivalent to
-    [run cfg (Array.init txns gen)] without materializing the array —
-    the entry point for out-of-core transaction counts. [gen] must be
-    pure, as in {!run_for}. *)
+(** Execute [txns] jobs to completion: workers call [gen] with indices
+    [0 .. txns - 1] and stop, holding only the jobs in flight (a fixed
+    array of jobs runs as [~gen:(Array.get jobs)]). [gen] is called
+    concurrently and must be pure. With [config.family = None] and no
+    [config.levels] the family is inferred from [gen 0]. [monitor], if
+    given, is called once after the workers have started, with a sampler
+    that can be polled from any thread for the duration of the run
+    (spawn a thread; the callback itself must return promptly — the
+    calling domain becomes worker 0). The sampler must not be used after
+    the run returns. *)
 
 val run_for :
   ?monitor:((unit -> live) -> unit) ->
   config -> duration_s:float -> gen:(int -> job) -> result
 (** Open-ended run: workers call [gen] with increasing indices until the
-    deadline passes. [gen] is called concurrently and must be pure (e.g.
-    seed a fresh [Random.State] from the index). With [config.family =
-    None] the family is inferred from [gen 0]. [monitor] as in {!run}. *)
+    deadline passes. [gen], family inference and [monitor] as in
+    {!run_n}. *)
 
 (** {2 The step interface}
 
     The one path every transaction takes through the engine, one
     operation at a time: stripe plans, incremental waits-for graph and
-    deadlock break, fault / certifier / deadline consultation, metrics,
-    journal, trace. A blocked step returns the wait to its caller rather
-    than sleeping through it. The batch entry points above are clients
-    of this interface whose workers sleep a blocked step out in place; a
-    server multiplexing sessions ≫ workers instead *parks* the blocked
-    session, serves runnable ones, and resumes it when the wake it
-    registered at {!exec_begin} fires. The caller (a batch worker, or
+    deadlock break, starvation valve, fault / certifier / deadline
+    consultation, metrics, journal, trace. A blocked step returns the
+    wait to its caller rather than sleeping through it, and the caller
+    waits for the wake it registered at {!exec_begin}: the batch entry
+    points above park the worker's domain on it; a server multiplexing
+    sessions ≫ workers parks the blocked session, serves runnable ones,
+    and resumes it when the wake fires. The caller (a batch worker, or
     the session scheduler in [lib/server]) owns per-transaction
-    bookkeeping: attempt numbers, backoff state, accumulated wait time,
-    and the step sequence number that addresses fault-plan draws. *)
+    bookkeeping: attempt numbers, blocked tries of the current
+    operation, accumulated wait time, and the step sequence number that
+    addresses fault-plan draws. *)
 
 type exec
 (** A shared execution context: one engine plus the pool's concurrency
@@ -354,8 +348,7 @@ type session_step =
   | Session_progress      (** executed; feed the next operation *)
   | Session_blocked of { holders : int list }
       (** blocked on these transactions: retry the same op once the
-          transaction's wake fires (or, without one, after a backoff
-          delay) *)
+          transaction's wake fires *)
   | Session_retry
       (** blocked, but no stored wait will wake it (its cycle-closing
           wait was rejected, or the engine named no holder): retry at
@@ -365,7 +358,8 @@ type session_step =
           victim, certifier doom observed late); check {!exec_status} *)
   | Session_aborted of Core.Engine.abort_reason
       (** aborted itself during this step (injected fault, certifier
-          doom, blown deadline, or chosen as its own deadlock victim) *)
+          doom, blown deadline, chosen as its own deadlock victim, or
+          the starvation valve) *)
 
 val exec_create : config -> family:[ `Locking | `Mv | `Timestamp ] -> exec
 (** [config.workers] sizes the heartbeat lanes; pass the number of
@@ -380,7 +374,7 @@ val exec_fresh_tid : exec -> int
 
 val exec_begin :
   ?declared:Isolation.Level.t ->
-  ?wake:(unit -> unit) ->
+  wake:(unit -> unit) ->
   exec -> worker:int -> tid:int -> job:int -> name:string -> attempt:int ->
   level:Isolation.Level.t -> read_only:bool -> unit
 (** Begin a transaction and emit its [Attempt_begin] event. [job] is the
@@ -398,16 +392,19 @@ val exec_begin :
 
 val exec_step :
   ?level:Isolation.Level.t ->
-  retried:bool ->
+  tries:int ->
   exec -> worker:int -> tid:int -> seq:int -> start_ns:int ->
   Core.Program.op -> session_step
 (** Execute one operation. [seq] is the per-transaction step-consultation
     counter (addresses the fault plan — increment it per call); [start_ns]
     is the attempt's start stamp (grounds the deadline check). [level]
     feeds the per-level breakdown should the certifier doom the
-    transaction at this step. [retried] says whether an earlier attempt
-    at this same operation blocked: only such an attempt published
-    waits-for edges, so a first try ([false]) skips clearing them. *)
+    transaction at this step. [tries] counts the earlier attempts at
+    this same operation that blocked (0 on the first try): only such an
+    attempt published waits-for edges, so a first try skips clearing
+    them, and an operation that blocks again after 10,000 tries aborts
+    its transaction instead (the starvation valve: a stall is counted
+    and [Session_aborted] returned, so the client restarts it). *)
 
 val exec_env : exec -> tid:int -> Core.Program.env
 (** The transaction's observations so far — the read/scan results a
@@ -418,11 +415,6 @@ val exec_status : exec -> tid:int -> Core.Engine.status
 val exec_abort : ?reason:Core.Engine.abort_reason -> exec -> tid:int -> unit
 (** Abort from outside the program (e.g. the client disconnected);
     [reason] defaults to [User_abort]. No-op if already terminated. *)
-
-val exec_stall_restart : exec -> tid:int -> unit
-(** The starvation safety valve: abort a transaction that exhausted
-    [config.max_op_retries] blocked retries of one operation, counting
-    the stall and emitting its event; the client restarts it. *)
 
 val exec_family : exec -> [ `Locking | `Mv | `Timestamp ]
 

@@ -216,8 +216,7 @@ let open_session t c ~sid ~req =
       let gid = Atomic.fetch_and_add t.next_gid 1 in
       Atomic.incr t.n_sessions;
       let s =
-        Session.create ~sid ~gid ~conn:c.cid ~exec:t.exec
-          ~max_op_retries:t.cfg.pool.Pool.max_op_retries ~draining:t.draining
+        Session.create ~sid ~gid ~conn:c.cid ~exec:t.exec ~draining:t.draining
           ~lookup_pred:(lookup_pred t)
           ~send:(fun ~req resp -> send_response c ~sid ~req resp)
           ~emit:(fun ~tid kind -> emit_inline t ~tid kind)

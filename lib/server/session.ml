@@ -52,7 +52,6 @@ type t = {
   gid : int;  (* global session index: the journal's job id *)
   conn : int;
   exec : Pool.exec;
-  max_op_retries : int;
   draining : bool Atomic.t;
   lookup_pred : Protocol.pred -> (Storage.Predicate.t, string) result;
   send : req:int -> Protocol.response -> unit;
@@ -69,14 +68,13 @@ type t = {
   mutable task : Scheduler.task option; (* backpatched after creation *)
 }
 
-let create ~sid ~gid ~conn ~exec ~max_op_retries ~draining ~lookup_pred ~send
-    ~emit ~on_close ~kick ~level =
+let create ~sid ~gid ~conn ~exec ~draining ~lookup_pred ~send ~emit ~on_close
+    ~kick ~level =
   {
     sid;
     gid;
     conn;
     exec;
-    max_op_retries;
     draining;
     lookup_pred;
     send;
@@ -158,7 +156,7 @@ let step_pending t ~worker (txn : txn) (p : pending) =
   let seq = txn.seq in
   txn.seq <- seq + 1;
   match
-    Pool.exec_step ~level:txn.level ~retried:(p.tries > 0) t.exec ~worker
+    Pool.exec_step ~level:txn.level ~tries:p.tries t.exec ~worker
       ~tid:txn.tid ~seq ~start_ns:txn.start_ns p.pop
   with
   | Pool.Session_progress ->
@@ -172,27 +170,19 @@ let step_pending t ~worker (txn : txn) (p : pending) =
     `Done
   | Pool.Session_finished | Pool.Session_aborted _ ->
     (* Terminated out from under us (deadlock victim, certifier doom,
-       deadline, injected fault): the attempt is over; tell the client
-       why so it can retry. *)
+       deadline, injected fault, starvation valve): the attempt is over;
+       tell the client why so it can retry. *)
     t.pending <- None;
     t.send ~req:p.preq (outcome_response (finish_txn t ~worker txn));
     `Done
-  | (Pool.Session_blocked _ | Pool.Session_retry) as blocked ->
+  | Pool.Session_retry ->
     p.tries <- p.tries + 1;
-    if p.tries >= t.max_op_retries then begin
-      (* Starvation safety valve, as in the batch pool: restart rather
-         than retry forever. The client sees an abort and retries. *)
-      Pool.exec_stall_restart t.exec ~tid:txn.tid;
-      t.pending <- None;
-      t.send ~req:p.preq (outcome_response (finish_txn t ~worker txn));
-      `Done
-    end
-    else if blocked = Pool.Session_retry then `Yield
-    else begin
-      p.parked_at <- now_ns ();
-      t.emit ~tid:txn.tid (Trace.Event.Session_park { session = t.gid });
-      `Park
-    end
+    `Yield
+  | Pool.Session_blocked _ ->
+    p.tries <- p.tries + 1;
+    p.parked_at <- now_ns ();
+    t.emit ~tid:txn.tid (Trace.Event.Session_park { session = t.gid });
+    `Park
 
 (* {2 Request dispatch} *)
 

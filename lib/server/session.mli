@@ -17,7 +17,6 @@ val create :
   gid:int ->
   conn:int ->
   exec:Runtime.Pool.exec ->
-  max_op_retries:int ->
   draining:bool Atomic.t ->
   lookup_pred:(Protocol.pred -> (Storage.Predicate.t, string) result) ->
   send:(req:int -> Protocol.response -> unit) ->

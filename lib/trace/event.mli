@@ -18,7 +18,7 @@ type kind =
   | Lock_conflict of { req : string; upgrade : bool; holders : int list }
   | Lock_release of { count : int }
   | Lock_wait of { slept_ns : int }
-      (** slept outside the latch after a Blocked step *)
+      (** parked outside the stripes after a Blocked step, until woken *)
   | Stripe_wait of { stripe : int }
       (** found a stripe mutex held by another worker while acquiring the
           step's stripe set (striped execution contention) *)

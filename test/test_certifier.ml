@@ -227,7 +227,7 @@ let run_pool ?(certify = false) ~level ~seed () =
       ~initial:(Generators.bank_accounts 8)
       ~think_us:10. ~seed ~certify ()
   in
-  Pool.run cfg (Array.init 24 gen)
+  Pool.run_n cfg ~txns:24 ~gen
 
 (* Contract (1): the incremental replay's verdict equals the offline
    oracle's on every history the pool can produce — locking, snapshot
@@ -308,7 +308,7 @@ let test_two_worker_polls_never_commit_a_doom () =
               ~initial:(Generators.bank_accounts 8)
               ~think_us:0. ~seed ~certify:true ()
           in
-          let r = Pool.run cfg (Array.init 48 gen) in
+          let r = Pool.run_n cfg ~txns:48 ~gen in
           let tag what = Printf.sprintf "%s seed %d %s" (L.name level) seed what in
           match r.Pool.certifier with
           | None -> Alcotest.fail "certifier summary missing"

@@ -273,7 +273,7 @@ let test_mixed_pool_agrees_with_oracle () =
         ~initial:(Workload.Generators.bank_accounts 8)
         ~think_us:0. ~seed ~certify:true ~criterion:Cert.Mixed ~family:fam ()
     in
-    let r = Pool.run cfg (Array.init 64 gen) in
+    let r = Pool.run_n cfg ~txns:64 ~gen in
     let cert =
       match r.Pool.certifier with
       | Some s -> s

@@ -20,10 +20,9 @@ module Ph = Phenomena.Phenomenon
 let accounts = 8
 let initial_balance = 100
 
-let stress_jobs ~level ~mix ~seed ~hot n =
-  Array.init n (fun i ->
-      let p = Generators.stress_program mix ~seed ~accounts ~hot ~ops:4 ~index:i in
-      Pool.job ~name:p.Core.Program.name ~level p)
+let stress_job ~level ~mix ~seed ~hot i =
+  let p = Generators.stress_program mix ~seed ~accounts ~hot ~ops:4 ~index:i in
+  Pool.job ~name:p.Core.Program.name ~level p
 
 let run ~level ~mix ?(seed = 11) ?(workers = 4) ?(hot = 2) n =
   let cfg =
@@ -31,7 +30,7 @@ let run ~level ~mix ?(seed = 11) ?(workers = 4) ?(hot = 2) n =
       ~initial:(Generators.bank_accounts accounts)
       ~think_us:50. ~seed ()
   in
-  Pool.run cfg (stress_jobs ~level ~mix ~seed ~hot n)
+  Pool.run_n cfg ~txns:n ~gen:(stress_job ~level ~mix ~seed ~hot)
 
 (* Committed increments of [k] recorded in the journal; under a correct
    engine the final balance must reflect exactly these. *)
@@ -102,9 +101,10 @@ let test_read_committed_loses_updates () =
             ~oracle_phenomena:[ Ph.P4 ] ()
         in
         let r =
-          Pool.run cfg
-            (stress_jobs ~level:L.Read_committed ~mix:Generators.Hotspot ~seed
-               ~hot:1 64)
+          Pool.run_n cfg ~txns:64
+            ~gen:
+              (stress_job ~level:L.Read_committed ~mix:Generators.Hotspot ~seed
+                 ~hot:1)
         in
         List.mem_assoc Ph.P4 (Option.get r.Pool.oracle).Oracle.phenomena)
       [ 1; 2; 3; 4; 5; 6; 7; 8 ]
@@ -130,6 +130,45 @@ let test_run_for_deadline () =
     ((Option.get r.oracle).Oracle.well_formed = Ok ());
   Alcotest.(check bool) "pattern-free" true (Oracle.pattern_free (Option.get r.oracle))
 
+(* {2 One wait, one park}
+
+   Two workers run the same job at SERIALIZABLE: write x, then three
+   reads, with think gaps of mean 20ms before each later operation, so
+   whichever worker takes X(x) first holds it for about 80ms. The other
+   blocks on x once and parks until the holder commits. *)
+let contended_pair ?watchdog_us () =
+  let job _ =
+    Pool.job ~level:L.Serializable
+      (Core.Program.make ~name:"hold_x"
+         Core.Program.[ Write ("x", const 1); Read "y"; Read "z"; Read "w" ])
+  in
+  let cfg =
+    Pool.config ~workers:2
+      ~initial:[ ("x", 0); ("y", 0); ("z", 0); ("w", 0) ]
+      ~think_us:20_000. ?watchdog_us ()
+  in
+  Pool.run_n cfg ~txns:2 ~gen:job
+
+(* One wait costs one park: a waiter woken on release re-steps once (a
+   racing wake may cost one more), where a timer-polling waiter would
+   block again on every poll across the holder's think gaps. *)
+let test_one_wait_one_park () =
+  let r = contended_pair () in
+  let m = r.Pool.metrics in
+  Alcotest.(check int) "both commit" 2 m.Metrics.committed;
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 2 blocked steps (saw %d)" m.Metrics.lock_waits)
+    true (m.Metrics.lock_waits <= 2)
+
+(* A worker parked on a lock wait, or thinking between operations, is
+   idle: a watchdog threshold well below the holder's think gaps (and
+   the waiter's park) reports no stuck worker. *)
+let test_parked_worker_not_stuck () =
+  let r = contended_pair ~watchdog_us:10_000. () in
+  Alcotest.(check int) "both commit" 2 r.Pool.metrics.Metrics.committed;
+  Alcotest.(check int) "no watchdog kicks" 0
+    r.Pool.metrics.Metrics.watchdog_kicks
+
 let test_stripes_counter_parallel () =
   let c = Stripes.Counter.create () in
   let per_domain = 10_000 in
@@ -151,15 +190,18 @@ let test_stripes_key_mapping () =
     (Stripes.stripe_of_key s "acct_000");
   Alcotest.(check bool) "stripe in range" true (i >= 0 && i < Stripes.size s)
 
+(* The restart window starts at 200µs and doubles to a 20ms cap, so five
+   waits sleep at most 0.2 + 0.4 + 0.8 + 1.6 + 3.2 = 6.2ms. *)
 let test_backoff_counts_and_caps () =
   let rng = Random.State.make [| 42 |] in
-  let bo =
-    Backoff.create ~rng { Backoff.base_us = 1.; cap_us = 4.; multiplier = 2. }
-  in
+  let bo = Backoff.create ~rng () in
+  let t0 = Unix.gettimeofday () in
   for _ = 1 to 5 do
     Backoff.wait bo
   done;
+  let five = Unix.gettimeofday () -. t0 in
   Alcotest.(check int) "wait count" 5 (Backoff.waits bo);
+  Alcotest.(check bool) "five escalating waits stay short" true (five < 0.5);
   Backoff.reset bo;
   Backoff.wait bo;
   Alcotest.(check int) "count survives reset" 6 (Backoff.waits bo)
@@ -196,6 +238,9 @@ let suite =
       test_read_committed_loses_updates;
     Alcotest.test_case "run_for: deadline-bounded run" `Quick
       test_run_for_deadline;
+    Alcotest.test_case "one wait costs one park" `Quick test_one_wait_one_park;
+    Alcotest.test_case "a parked worker is not stuck" `Quick
+      test_parked_worker_not_stuck;
     Alcotest.test_case "stripes: sharded counter is exact" `Quick
       test_stripes_counter_parallel;
     Alcotest.test_case "stripes: key mapping is stable" `Quick

@@ -448,7 +448,7 @@ let test_pool_stop_drains () =
   in
   (* far more work than 50ms can finish: the run must return early,
      complete (journal) every attempt it started, and stay checkable *)
-  let r = Pool.run cfg (Array.init 5000 gen) in
+  let r = Pool.run_n cfg ~txns:5000 ~gen in
   Thread.join stopper;
   let m = r.Pool.metrics in
   let done_ =
@@ -480,7 +480,7 @@ let test_certify_batch_equivalent () =
       in
       Pool.job ~name:p.Core.Program.name ~level:L.Read_committed p
     in
-    Pool.run cfg (Array.init 64 gen)
+    Pool.run_n cfg ~txns:64 ~gen
   in
   let a = run ~certify_batch:true and b = run ~certify_batch:false in
   let s r =

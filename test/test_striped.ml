@@ -179,7 +179,7 @@ let test_cross_stripe_deadlock () =
           ~initial:(Generators.bank_accounts 16)
           ~think_us:50. ~seed ()
       in
-      let r = Pool.run cfg (Array.init n gen) in
+      let r = Pool.run_n cfg ~txns:n ~gen in
       deadlocks_seen := !deadlocks_seen + r.Pool.metrics.Metrics.deadlocks;
       Alcotest.(check int)
         (Printf.sprintf "seed %d: every job commits" seed)
@@ -223,7 +223,7 @@ let run_mode ~coarse ~level ~seed =
       ~initial:(Generators.bank_accounts 8)
       ~think_us:20. ~seed ()
   in
-  Pool.run cfg (Array.init 24 gen)
+  Pool.run_n cfg ~txns:24 ~gen
 
 (* The verdict class a level is accountable for. Striped and coarse runs
    see different interleavings, so per-seed witness counts differ; what
@@ -331,7 +331,7 @@ let test_windowed_oracle_clean_run () =
       ~initial:(Generators.bank_accounts 8)
       ~think_us:20. ~oracle_window:8 ~seed:5 ()
   in
-  let r = Pool.run cfg (Array.init 48 gen) in
+  let r = Pool.run_n cfg ~txns:48 ~gen in
   Alcotest.(check (option int)) "verdict is windowed" (Some 8)
     (Option.get r.Pool.oracle).Oracle.window;
   Alcotest.(check bool) "windowed striped run is clean" true
