@@ -385,17 +385,6 @@ let drain_on_sigint () =
    out-of-core pipeline unless --history forces it back on. *)
 let out_of_core_threshold = 65_536
 
-(* A fresh scratch directory under the system temp dir, for spilled
-   journals of runs the user gave no --wal-dir. *)
-let scratch_dir label =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "isolation_lab_%s_%d" label (Unix.getpid ()))
-  in
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  dir
-
 (* The flight recorder behind --trace, when one was asked for. *)
 let trace_sink ~workers = function
   | None -> None
@@ -515,9 +504,9 @@ let history_arg =
           "Keep the full engine trace and run the post-run oracle over it. \
            $(b,serve) defaults to true; $(b,stress) to true up to 65536 \
            transactions (and for --duration runs), false above. false is \
-           the out-of-core mode: the attempt journal spills to disk and the \
-           online certifier ($(b,--certify)) carries the serializability \
-           verdict.")
+           the out-of-core mode: no trace and no attempt journal are kept, \
+           and the online certifier ($(b,--certify)) carries the \
+           serializability verdict.")
 
 (* Each command keeps its own default: 0 for stress, 64 for serve. *)
 let oracle_window_arg default =
@@ -625,17 +614,14 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
   let fault_checks = Option.is_some plan || crash_points in
   let initial = Workload.Generators.bank_accounts accounts in
   let stop = drain_on_sigint () in
-  (* Out-of-core decision: huge fixed-count runs drop the trace — the
-     engine logs to its (checkpoint-truncated) WAL, the recorder spills
-     its journal, and the online certifier carries the serializability
-     verdict the oracle would otherwise give. *)
+  (* Out-of-core decision: huge fixed-count runs drop the trace and the
+     attempt journal — the engine logs to its (checkpoint-truncated) WAL,
+     and the online certifier carries the serializability verdict the
+     oracle would otherwise give. *)
   let keep_history =
     match history with
     | Some b -> b
     | None -> duration <> None || txns <= out_of_core_threshold
-  in
-  let spill_dir =
-    if keep_history then None else Some (scratch_dir "journal")
   in
   let cfg =
     Runtime.Pool.config ~workers ~initial ~first_updater_wins:fuw ~stripes
@@ -643,16 +629,15 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
       ~seed ?trace:sink ~certify ~criterion ~family ?fault:plan
       ?deadline_us:(Option.map (fun ms -> ms *. 1000.) deadline_ms)
       ?watchdog_us:(Option.map (fun ms -> ms *. 1000.) watchdog_ms)
-      ?wal_dir ~checkpoint_every ~keep_history ?spill_dir ~stop ()
+      ?wal_dir ~checkpoint_every ~keep_history ~stop ()
   in
   if not keep_history then
     Format.printf
-      "out-of-core: history off (%s); checkpoints every %d commits, journal \
-       spills to %s%s@."
+      "out-of-core: history off (%s), no journal kept; checkpoints every %d \
+       commits%s@."
       (if history = Some false then "--history false"
        else Printf.sprintf "%d txns > %d" txns out_of_core_threshold)
       checkpoint_every
-      (Option.value ~default:"(memory)" spill_dir)
       (match wal_dir with
       | Some d -> Printf.sprintf ", wal segments in %s" d
       | None -> "");
@@ -1143,19 +1128,16 @@ let serve workers family_str level criterion_str port host accounts stripes
     else Some (Fault.Plan.create ~disconnect_rate ~seed ())
   in
   let stop = drain_on_sigint () in
-  (* Long-lived servers can outgrow any in-memory history: --history \
-     false drops the trace and the post-run oracle (the online certifier \
-     still certifies when --certify) and spills the attempt journal. *)
+  (* Long-lived servers can outgrow any in-memory history: --history
+     false drops the trace, the attempt journal and the post-run oracle
+     (the online certifier still certifies when --certify). *)
   let keep_history = Option.value ~default:true history in
-  let spill_dir =
-    if keep_history then None else Some (scratch_dir "serve_journal")
-  in
   let pool =
     Runtime.Pool.config ~workers
       ~initial:(Workload.Generators.bank_accounts accounts)
       ~stripes ~coarse ~certify ~certify_batch ~criterion
       ?oracle_window:(oracle_window_of oracle_window) ~seed
-      ?trace:sink ?fault ?wal_dir ~checkpoint_every ~keep_history ?spill_dir ()
+      ?trace:sink ?fault ?wal_dir ~checkpoint_every ~keep_history ()
   in
   let cfg =
     Server.Frontend.config ~host ~port ~default_level:level
@@ -1280,7 +1262,7 @@ let loadgen host port preset sessions conns txns mix_name levels_str accounts
   (* Presets override the shape knobs; everything else (mix, levels,
      seed, ...) still applies. "1m" is the out-of-core acceptance run:
      10^6 transactions against a server started with --history false and
-     a --wal-dir, where the WAL checkpoints, the journal spills and RSS
+     a --wal-dir, where the WAL checkpoints, no journal is kept and RSS
      stays flat — the progress line reports commits-vs-total and the
      generator's RSS each interval. *)
   let sessions, txns, progress =
@@ -1333,7 +1315,7 @@ let loadgen_cmd =
              sessions x 2000 txns, progress every 5s with an RSS \
              reading) — pair it with a server started out-of-core \
              ($(b,serve --history false --wal-dir ...)) to exercise the \
-             whole spilled pipeline. Overrides --sessions/--txns.")
+             whole out-of-core pipeline. Overrides --sessions/--txns.")
   in
   let sessions_arg =
     Arg.(

@@ -38,15 +38,15 @@
    cycle and returns the witness immediately. In [Enforce] mode the
    certifier then dooms the acting transaction (or, for edges not
    attributable to a live actor — commit-time multiversion closures,
-   purge re-wires — the youngest still-active cycle member); the pool
-   polls {!doomed} and aborts the victim at a later step — at the latest
-   its commit, where the poll waits for the graph to catch up — so the
-   committed projection stays acyclic. In [Observe] mode rejected
-   edges are only recorded. Either way {!finalize} replays the rejected
-   edges whose endpoints both committed, in arrival order, over the
-   purged graph: the first re-rejection is a genuine committed-
-   projection cycle, and its absence is a full, non-windowed
-   serializability verdict.
+   purge re-wires — the youngest still-active cycle member that its
+   commit check has not yet cleared); the pool polls {!doomed} and
+   aborts the victim at a later step — at the latest its commit, where
+   the poll waits for the graph to catch up — so the committed
+   projection stays acyclic. In [Observe] mode rejected edges are only
+   recorded. Either way {!finalize} replays the rejected edges whose
+   endpoints both committed, in arrival order, over the purged graph:
+   the first re-rejection is a genuine committed-projection cycle, and
+   its absence is a full, non-windowed serializability verdict.
 
    Under the [Mixed] criterion the level is a per-transaction property
    ({!note_level}) and a cycle is judged per member: the certifier
@@ -151,6 +151,9 @@ type t = {
   doomed_pub : Tids.t Atomic.t;
       (* [doomed_tbl]'s key set, republished under [m] on every change:
          what a poll reads when another worker holds [m] *)
+  sealed : (int, unit) Hashtbl.t;
+      (* cleared by their commit's poll, Commit/Abort not yet observed:
+         no longer doomable *)
   (* Mixed criterion: each transaction's declared level, the kinds each
      inserted edge carries (an edge pair can carry several — e.g. both
      ww and rw — and a kind can be predicate-borne), and the permitted
@@ -207,6 +210,7 @@ let create ?on_edge ?on_cycle ?(batch = false) ?(prune_every = 0)
     status = Hashtbl.create 64;
     doomed_tbl = Hashtbl.create 8;
     doomed_pub = Atomic.make Tids.empty;
+    sealed = Hashtbl.create 8;
     levels = Hashtbl.create 64;
     ekinds = Hashtbl.create 256;
     matrix = Hashtbl.create 16;
@@ -399,7 +403,10 @@ let offer ?actor ?(pred = false) ~dep t src dst =
       let victim =
         if t.mode <> Enforce then None
         else begin
-          let doomable n = is_active t n && not (Hashtbl.mem t.doomed_tbl n) in
+          let doomable n =
+            is_active t n
+            && not (Hashtbl.mem t.doomed_tbl n || Hashtbl.mem t.sealed n)
+          in
           let youngest_doomable among =
             List.fold_left
               (fun acc n ->
@@ -924,6 +931,7 @@ let observe_locked t (a : Action.t) =
     | Action.Pred_read p -> sv_pred_read t tid p.pname p.pkeys
     | Action.Commit _ ->
       Hashtbl.replace t.status tid Committed;
+      Hashtbl.remove t.sealed tid;
       (* a committed transaction is never purged, so its per-txn tables
          are dead weight from here on *)
       Hashtbl.remove t.written tid;
@@ -932,6 +940,7 @@ let observe_locked t (a : Action.t) =
       maybe_prune t
     | Action.Abort _ ->
       Hashtbl.replace t.status tid Aborted;
+      Hashtbl.remove t.sealed tid;
       undoom t tid;
       sv_purge t tid;
       Graph.Incremental.remove_node t.g tid)
@@ -942,6 +951,7 @@ let observe_locked t (a : Action.t) =
     | Action.Pred_read _ -> () (* the MVSG has no predicate vocabulary *)
     | Action.Commit _ ->
       Hashtbl.replace t.status tid Committed;
+      Hashtbl.remove t.sealed tid;
       mv_commit t tid;
       (* committed writers are never purged, so the write-set note is
          dead weight from here on (and would pin the node as referenced
@@ -950,6 +960,7 @@ let observe_locked t (a : Action.t) =
       maybe_prune t
     | Action.Abort _ ->
       Hashtbl.replace t.status tid Aborted;
+      Hashtbl.remove t.sealed tid;
       undoom t tid;
       mv_purge t tid;
       Graph.Incremental.remove_node t.g tid)
@@ -1006,17 +1017,24 @@ let mv_trim t ~buried =
         buried)
 
 (* The doom poll. A waiting poll (the commit check) takes [m], drains
-   and answers exactly, so no doomed transaction passes its commit. A
-   non-waiting poll does the same when [m] is free; when another worker
-   holds it — typically draining the feed — it answers from the
-   published set instead of queueing behind that work, and a doom still
-   in flight is caught by a later poll. *)
-let doomed ?(wait = true) t tid =
+   and answers exactly, so no doomed transaction passes its commit; a
+   transaction it clears is sealed, because its commit step follows with
+   no poll after it, and a cycle closing before that step's Commit
+   reaches the graph dooms another member instead. A non-waiting poll
+   answers exactly when [m] is free; when another worker holds it —
+   typically draining the feed — it answers from the published set
+   instead of queueing behind that work, and a doom still in flight is
+   caught by a later poll. *)
+let doomed ?(wait = false) t tid =
   let exact () =
     if t.batch then drain_locked t;
     Hashtbl.mem t.doomed_tbl tid
   in
-  if wait then locked t exact
+  if wait then
+    locked t (fun () ->
+        let d = exact () in
+        if not d && is_active t tid then Hashtbl.replace t.sealed tid ();
+        d)
   else if Mutex.try_lock t.m then
     Fun.protect ~finally:(fun () -> Mutex.unlock t.m) exact
   else Tids.mem tid (Atomic.get t.doomed_pub)

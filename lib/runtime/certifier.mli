@@ -156,14 +156,18 @@ val mv_trim : t -> buried:(string * int) list -> unit
 
 val doomed : ?wait:bool -> t -> int -> bool
 (** Has the transaction been doomed for closing a cycle? Polled by
-    workers before each operation. With [~wait:true] (the default) the
-    poll takes the certifier lock, drains the batch buffer and answers
-    exactly — the pool's commit check, so no doomed transaction commits.
-    With [~wait:false] it does the same when the lock is free, but when
-    another thread holds it the poll returns at once with the published
-    doom set (updated under the lock wherever a doom is recorded or
-    dropped, before [on_cycle] fires): a doom still in the buffer is
-    then seen by a later poll, at the latest the commit's. *)
+    workers before each operation. With [~wait:true] the poll takes the
+    certifier lock, drains the batch buffer and answers exactly: the
+    pool's commit check, so no doomed transaction commits. A transaction
+    that check clears is sealed until its Commit or Abort is observed: a
+    cycle that closes through it in between dooms another member, or
+    counts as a miss, because no poll is left to catch its doom. With
+    [~wait:false] (the default) the poll answers exactly when the lock
+    is free, but when another thread holds it the poll returns at once
+    with the published doom set (updated under the lock wherever a doom
+    is recorded or dropped, before [on_cycle] fires): a doom still in
+    the buffer is then seen by a later poll, at the latest the
+    commit's. *)
 
 type stats = {
   s_nodes : int;          (** dependency-graph nodes right now *)

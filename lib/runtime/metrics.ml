@@ -1,8 +1,10 @@
 (* Runtime metrics. Recording is lock-free: plain counters are sharded
    per domain, commit latencies go into a log2-bucketed histogram of
-   atomics. Quantiles read the histogram, so they are approximate to one
-   bucket (successive buckets differ by 2x) — precise enough to compare
-   levels, mixes and PRs against each other. *)
+   atomics. Quantiles read the histogram and interpolate log-linearly
+   within the bucket that holds the rank, so they stay within one bucket
+   (successive buckets differ by 2x) of the exact value, and distinct
+   quantiles inside one bucket still read apart. A snapshot caps them at
+   the exact max latency. *)
 
 module Engine = Core.Engine
 module L = Isolation.Level
@@ -229,8 +231,10 @@ type snapshot = {
   per_level : level_stats list;
 }
 
-(* Quantile from a plain bucket-count array: the geometric midpoint of
-   the first bucket at which the cumulative count reaches the rank. *)
+(* Quantile from a plain bucket-count array. Bucket [b] holds latencies
+   in [2^b, 2^(b+1)) ns; the rank's position among that bucket's samples
+   places it log-linearly inside, each sample at the middle of its own
+   share, so a lone sample reads the geometric midpoint. *)
 let hist_quantile hist total q =
   if total = 0 then 0.
   else begin
@@ -239,15 +243,13 @@ let hist_quantile hist total q =
     let rec go i acc =
       if i >= n then float n
       else
-        let acc = acc + hist.(i) in
-        if acc >= rank then float i else go (i + 1) acc
+        let c = hist.(i) in
+        if acc + c >= rank then
+          float i +. ((float (rank - acc) -. 0.5) /. float c)
+        else go (i + 1) (acc + c)
     in
-    let b = go 0 0 in
-    (2. ** b) *. 1.5 /. 1e6
+    (2. ** go 0 0) /. 1e6
   end
-
-let quantile hist total q =
-  hist_quantile (Array.map Atomic.get hist) total q
 
 let snapshot (t : t) =
   let committed = Stripes.Counter.sum t.committed in
@@ -267,6 +269,12 @@ let snapshot (t : t) =
   let stopped = if t.stopped_at > 0. then t.stopped_at else now in
   let wall_s = Float.max 1e-9 (stopped -. t.started_at) in
   let sum_ns = Stripes.Counter.sum t.lat_sum_ns in
+  let lat_max_ms = float (Atomic.get t.lat_max_ns) /. 1e6 in
+  (* Interpolation can land above the largest sample in the top bucket;
+     a latency, or its exec or wait share, never exceeds the exact max. *)
+  let quantile hist total q =
+    Float.min lat_max_ms (hist_quantile (Array.map Atomic.get hist) total q)
+  in
   let per_level =
     Array.to_list
       (Array.mapi
@@ -296,7 +304,7 @@ let snapshot (t : t) =
     lat_p50_ms = quantile t.lat_hist committed 0.50;
     lat_p90_ms = quantile t.lat_hist committed 0.90;
     lat_p99_ms = quantile t.lat_hist committed 0.99;
-    lat_max_ms = float (Atomic.get t.lat_max_ns) /. 1e6;
+    lat_max_ms;
     lat_mean_ms =
       (if committed = 0 then 0. else float sum_ns /. float committed /. 1e6);
     exec_p50_ms = quantile t.exec_hist committed 0.50;

@@ -152,10 +152,11 @@ val nbuckets : int
 
 val hist_quantile : int array -> int -> float -> float
 (** [hist_quantile hist total q] reads quantile [q] (in \[0,1\]) off a
-    bucket-count array in the [lat_hist] encoding, in milliseconds —
-    the geometric midpoint of the bucket where the cumulative count
-    reaches the rank. Used by live consumers to quote interval
-    latencies from snapshot diffs. *)
+    bucket-count array in the [lat_hist] encoding, in milliseconds,
+    placed log-linearly inside the bucket where the cumulative count
+    reaches the rank (a bucket's only sample reads its geometric
+    midpoint). Used by live consumers to quote interval latencies from
+    snapshot diffs. *)
 
 val pp : snapshot Fmt.t
 

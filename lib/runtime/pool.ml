@@ -110,8 +110,6 @@ type config = {
   predicates : Storage.Predicate.t list;
   family : [ `Locking | `Mv | `Timestamp ] option;
   first_updater_wins : bool;
-  next_key_locking : bool;
-  update_locks : bool;
   stripes : int;
   coarse : bool;
   think_us : float;
@@ -130,8 +128,7 @@ type config = {
   wal_dir : string option;       (* segmented on-disk WAL; None = in-memory *)
   wal_segment_bytes : int option;(* segment rotation threshold *)
   checkpoint_every : int;        (* commits between WAL checkpoints; 0 = never *)
-  keep_history : bool;           (* false: out-of-core — drop the trace, skip the oracle *)
-  spill_dir : string option;     (* recorder journal spill directory *)
+  keep_history : bool;           (* false: no trace, no journal, no oracle *)
   stop : bool Atomic.t option;   (* drain flag: finish in-flight, take no new jobs *)
 }
 
@@ -145,23 +142,20 @@ let max_op_retries = 10_000
 let default_stripes = 16
 
 let config ?(workers = 4) ?(initial = []) ?(predicates = []) ?family
-    ?(first_updater_wins = false) ?(next_key_locking = false)
-    ?(update_locks = false) ?(stripes = default_stripes) ?(coarse = false)
+    ?(first_updater_wins = false) ?(stripes = default_stripes) ?(coarse = false)
     ?(think_us = 0.)
     ?(oracle_phenomena = Phenomena.Phenomenon.all) ?oracle_window ?(seed = 1)
     ?trace ?fault ?deadline_us ?watchdog_us ?(certify = false)
     ?(criterion = Certifier.Serializability) ?(levels = [])
     ?(certify_batch = true) ?(prune_every = 4096) ?wal_dir ?wal_segment_bytes
     ?(checkpoint_every = 0) ?(keep_history = true)
-    ?spill_dir ?stop () =
+    ?spill_dir:_ ?stop () =
   {
     workers = max 1 workers;
     initial;
     predicates;
     family;
     first_updater_wins;
-    next_key_locking;
-    update_locks;
     stripes = max 1 stripes;
     coarse;
     think_us = Float.max 0. think_us;
@@ -181,7 +175,6 @@ let config ?(workers = 4) ?(initial = []) ?(predicates = []) ?family
     wal_segment_bytes;
     checkpoint_every = max 0 checkpoint_every;
     keep_history;
-    spill_dir;
     stop;
   }
 
@@ -236,7 +229,7 @@ type shared = {
   detector : Mutex.t;  (* one confirm-and-break pass at a time *)
   next_tid : int Atomic.t;
   metrics : Metrics.t;
-  recorder : Recorder.t;
+  recorder : Recorder.t option; (* the attempt journal; None without history *)
   sink : Trace.Sink.t option;
   (* Per-worker heartbeats for the watchdog: the stamp of the worker's
      last step entry (0 = not started, max_int = idle: thinking, parked
@@ -443,7 +436,6 @@ let make_shared (cfg : config) ~family =
     Engine.create ~initial:cfg.initial ~predicates:cfg.predicates
       ~stripes:nstripes ~audit:false
       ~first_updater_wins:cfg.first_updater_wins
-      ~next_key_locking:cfg.next_key_locking ~update_locks:cfg.update_locks
       ?wal_dir:cfg.wal_dir ?wal_segment_bytes:cfg.wal_segment_bytes
       ~checkpoint_every:cfg.checkpoint_every ~retain_trace:cfg.keep_history
       ~family ()
@@ -494,7 +486,9 @@ let make_shared (cfg : config) ~family =
       detector = Mutex.create ();
       next_tid = Atomic.make 1;
       metrics = Metrics.create ~stripes:nstripes ();
-      recorder = Recorder.create ~stripes:cfg.workers ?spill_dir:cfg.spill_dir ();
+      recorder =
+        (if cfg.keep_history then Some (Recorder.create ~stripes:cfg.workers)
+         else None);
       sink = cfg.trace;
       hb = Array.init (max 1 cfg.workers) (fun _ -> Atomic.make 0);
       hb_tid = Array.init (max 1 cfg.workers) (fun _ -> Atomic.make 0);
@@ -572,16 +566,15 @@ let collect_result (cfg : config) sh =
     | None -> ([], 0)
     | Some s -> (Trace.Sink.events s, Trace.Sink.dropped s)
   in
+  let journal = Option.fold ~none:[] ~some:Recorder.entries sh.recorder in
   {
     history;
     final = Engine.final_state sh.engine;
     metrics = Metrics.snapshot sh.metrics;
-    (* Out-of-core runs ([keep_history = false]) recorded no engine trace,
-       so there is nothing for the oracle to check — the online certifier
-       is the verdict — and the journal, possibly spilled to disk, is not
-       materialized back into memory (stream it with
-       {!Recorder.iter_entries} instead). *)
-    journal = (if cfg.keep_history then Recorder.entries sh.recorder else []);
+    (* A run without history ([keep_history = false]) recorded no engine
+       trace and no journal, so there is nothing for the oracle to check:
+       the online certifier is the verdict. *)
+    journal;
     oracle =
       (if cfg.keep_history then
          Some
@@ -594,9 +587,7 @@ let collect_result (cfg : config) sh =
          exactly that mapping. *)
       (if cfg.criterion = Certifier.Mixed && cfg.keep_history then
          let levels =
-           List.map
-             (fun (e : Recorder.entry) -> (e.tid, e.level))
-             (Recorder.entries sh.recorder)
+           List.map (fun (e : Recorder.entry) -> (e.tid, e.level)) journal
          in
          Some
            (Oracle.check_mixed ~phenomena:cfg.oracle_phenomena ~levels history)
@@ -737,7 +728,8 @@ let exec_step ?level ~tries t ~worker ~tid ~seq ~start_ns op =
     (* The certifier doomed us for closing a dependency cycle: abort
        before the next operation. Only the commit's poll waits for the
        graph to catch up; that one keeps the committed projection
-       acyclic. *)
+       acyclic, and a tid it clears is never doomed afterwards, since
+       no poll follows it. *)
     Metrics.record_certifier_abort ?level sh.metrics;
     Session_aborted (abort_self sh ~tid Engine.Certifier_abort)
   | _ when now_ns () > deadline_at ->
@@ -863,8 +855,11 @@ let exec_finish t ~worker ~tid ~job ~name ~level ~attempt ~start_ns ~wait_ns =
     | Engine.Active ->
       raise (Stuck (Fmt.str "T%d still active after its program ended" tid))
   in
-  Recorder.record sh.recorder ~job ~name ~level ~tid ~attempt ~worker
-    ~start_ns ~finish_ns outcome;
+  Option.iter
+    (fun r ->
+      Recorder.record r ~job ~name ~level ~tid ~attempt ~worker ~start_ns
+        ~finish_ns outcome)
+    sh.recorder;
   (* Everything the runtime will ever ask the engine about this tid has
      been asked (the status read above; env reads happen mid-program);
      release its slot so long runs don't retain every finished txn. The

@@ -80,8 +80,6 @@ type config = {
   family : [ `Locking | `Mv | `Timestamp ] option;
       (** engine family; [None] infers it from the job levels *)
   first_updater_wins : bool;
-  next_key_locking : bool;
-  update_locks : bool;
   stripes : int;
       (** key stripes for the striped execution path (locking engines
           only; plus one implicit predicate stripe). Default 16. *)
@@ -179,17 +177,14 @@ type config = {
           on disk that unlinks wholly-retired segments, in memory it
           collapses the record list — so the log stays bounded. *)
   keep_history : bool;
-      (** [true] (the default) keeps the full engine trace and runs the
-          post-run oracle over it. [false] is the out-of-core mode: the
-          engine appends nothing to its in-memory trace (the WAL and the
-          certifier feed still see every action), {!field:result.history}
-          comes back empty, {!field:result.oracle} is [None] and
-          {!field:result.journal} is not materialized — the online
+      (** [true] (the default) keeps the full engine trace and the
+          attempt journal, and runs the post-run oracle over the trace.
+          [false] is the out-of-core mode: the engine appends nothing to
+          its in-memory trace (the WAL and the certifier feed still see
+          every action) and no journal is kept, so
+          {!field:result.history} and {!field:result.journal} come back
+          empty and {!field:result.oracle} is [None] — the online
           certifier is the serializability verdict. *)
-  spill_dir : string option;
-      (** directory for the attempt recorder's journal spill files
-          (created if missing): stripes flush to disk past a threshold
-          and only live tails stay resident ({!Recorder.create}). *)
   stop : bool Atomic.t option;
       (** drain flag: when the atomic flips to [true], workers finish the
           job in hand (retries included), take no new jobs, and the run
@@ -204,8 +199,6 @@ val config :
   ?predicates:Storage.Predicate.t list ->
   ?family:[ `Locking | `Mv | `Timestamp ] ->
   ?first_updater_wins:bool ->
-  ?next_key_locking:bool ->
-  ?update_locks:bool ->
   ?stripes:int ->
   ?coarse:bool ->
   ?think_us:float ->
@@ -229,6 +222,8 @@ val config :
   ?stop:bool Atomic.t ->
   unit ->
   config
+(** [spill_dir] is accepted and ignored: the attempt journal lives in
+    memory, and a run without history keeps none. *)
 
 (** {2 Live observation}
 
@@ -262,7 +257,7 @@ type result = {
   metrics : Metrics.snapshot;
   journal : Recorder.entry list;
       (** the merged attempt journal; empty when [config.keep_history]
-          is [false] (out-of-core runs leave it spilled on disk) *)
+          is [false], which keeps no journal *)
   oracle : Oracle.t option;
       (** the post-run oracle's verdict over {!field:history}; [None]
           when [config.keep_history] is [false] — no trace was kept, and

@@ -1,13 +1,6 @@
 (* Attempt journal for the worker pool: striped append-only buffers (one
    stripe per worker, so appends are contention-free) ordered globally by
-   an atomic sequence number.
-
-   Out-of-core runs spill: when a stripe's live buffer reaches the spill
-   threshold it is appended — sorted, marshalled — to a per-stripe file,
-   so only the live tails stay resident no matter how many attempts the
-   run makes. [iter_entries] streams the merged journal back (one entry
-   per stripe in memory at a time); [entries] still materializes the
-   list for the small-run callers. *)
+   an atomic sequence number. *)
 
 type outcome = Committed | Aborted of Core.Engine.abort_reason
 
@@ -28,70 +21,19 @@ type entry = {
   outcome : outcome;
 }
 
-type spill = {
-  dir : string;
-  threshold : int;
-  chans : out_channel option array; (* per stripe, opened on first batch *)
-  mutable spilled : int;            (* entries written out, all stripes *)
-}
-
 type t = {
   stripes : Stripes.t;
   buffers : entry list ref array; (* newest first, one per stripe *)
-  counts : int array;             (* live entries per stripe *)
   next_seq : int Atomic.t;
-  spill : spill option;
 }
 
-let spill_file dir i = Filename.concat dir (Printf.sprintf "journal-%02d.bin" i)
-
-let create ?(stripes = 16) ?spill_dir ?(spill_threshold = 4096) () =
+let create ~stripes =
   let n = max 1 stripes in
-  let spill =
-    match spill_dir with
-    | None -> None
-    | Some dir ->
-      if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-      Some
-        {
-          dir;
-          threshold = max 64 spill_threshold;
-          chans = Array.make n None;
-          spilled = 0;
-        }
-  in
   {
     stripes = Stripes.create n;
     buffers = Array.init n (fun _ -> ref []);
-    counts = Array.make n 0;
     next_seq = Atomic.make 0;
-    spill;
   }
-
-(* Under the stripe's lock: marshal the full buffer out, oldest first.
-   Within one stripe sequence numbers are monotone (each worker draws its
-   seq before appending, in program order), so the file stays sorted and
-   [iter_entries] can stream-merge without re-sorting. *)
-let spill_stripe t sp i =
-  let chan =
-    match sp.chans.(i) with
-    | Some c -> c
-    | None ->
-      let c =
-        open_out_gen
-          [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-          0o644 (spill_file sp.dir i)
-      in
-      sp.chans.(i) <- Some c;
-      c
-  in
-  let batch =
-    List.sort (fun a b -> compare a.seq b.seq) !(t.buffers.(i))
-  in
-  List.iter (fun e -> Marshal.to_channel chan (e : entry) []) batch;
-  sp.spilled <- sp.spilled + t.counts.(i);
-  t.buffers.(i) := [];
-  t.counts.(i) <- 0
 
 let record t ~job ~name ~level ~tid ~attempt ~worker ~start_ns ~finish_ns
     outcome =
@@ -101,79 +43,9 @@ let record t ~job ~name ~level ~tid ~attempt ~worker ~start_ns ~finish_ns
   in
   let i = worker mod Array.length t.buffers in
   Stripes.with_index t.stripes i (fun () ->
-      t.buffers.(i) := e :: !(t.buffers.(i));
-      t.counts.(i) <- t.counts.(i) + 1;
-      match t.spill with
-      | Some sp when t.counts.(i) >= sp.threshold -> spill_stripe t sp i
-      | _ -> ())
-
-let spilled t = match t.spill with Some sp -> sp.spilled | None -> 0
-
-(* One sorted stream per stripe: the spilled file first (it holds the
-   stripe's older entries), then the live tail. Call after workers
-   joined — readers do not take stripe locks. *)
-let stripe_stream t i =
-  let live = ref (List.rev !(t.buffers.(i))) in
-  let chan =
-    match t.spill with
-    | Some sp when Sys.file_exists (spill_file sp.dir i) ->
-      (match sp.chans.(i) with Some c -> flush c | None -> ());
-      Some (open_in_bin (spill_file sp.dir i))
-    | _ -> None
-  in
-  let chan = ref chan in
-  let next () =
-    match !chan with
-    | Some ic -> (
-      match (Marshal.from_channel ic : entry) with
-      | e -> Some e
-      | exception End_of_file ->
-        close_in ic;
-        chan := None;
-        (match !live with
-        | e :: rest ->
-          live := rest;
-          Some e
-        | [] -> None))
-    | None -> (
-      match !live with
-      | e :: rest ->
-        live := rest;
-        Some e
-      | [] -> None)
-  in
-  next
-
-let iter_entries t f =
-  let n = Array.length t.buffers in
-  let streams = Array.init n (stripe_stream t) in
-  let heads = Array.init n (fun i -> streams.(i) ()) in
-  let rec go () =
-    let best = ref (-1) and best_seq = ref max_int in
-    Array.iteri
-      (fun i -> function
-        | Some e when e.seq < !best_seq ->
-          best := i;
-          best_seq := e.seq
-        | _ -> ())
-      heads;
-    if !best >= 0 then begin
-      (match heads.(!best) with Some e -> f e | None -> ());
-      heads.(!best) <- streams.(!best) ();
-      go ()
-    end
-  in
-  go ()
+      t.buffers.(i) := e :: !(t.buffers.(i)))
 
 let entries t =
-  match t.spill with
-  | None ->
-    Array.to_list t.buffers
-    |> List.concat_map (fun b -> !b)
-    |> List.sort (fun a b -> compare a.seq b.seq)
-  | Some _ ->
-    let acc = ref [] in
-    iter_entries t (fun e -> acc := e :: !acc);
-    List.rev !acc
-
-let committed t = List.filter (fun e -> e.outcome = Committed) (entries t)
+  Array.to_list t.buffers
+  |> List.concat_map (fun b -> !b)
+  |> List.sort (fun a b -> compare a.seq b.seq)

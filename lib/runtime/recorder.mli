@@ -10,7 +10,9 @@
     restarted, on which worker, and how long each attempt took. The
     recorder journals exactly that, into per-worker striped buffers (one
     mutex per worker, so appends never contend) with a global atomic
-    sequence number that gives the merged journal a total order. *)
+    sequence number that gives the merged journal a total order. The
+    journal lives in memory only: a pool run without history
+    ([keep_history = false]) keeps no journal at all. *)
 
 type outcome = Committed | Aborted of Core.Engine.abort_reason
 
@@ -31,12 +33,7 @@ type entry = {
 
 type t
 
-val create :
-  ?stripes:int -> ?spill_dir:string -> ?spill_threshold:int -> unit -> t
-(** With [spill_dir] (created if missing), a stripe whose live buffer
-    reaches [spill_threshold] entries (default 4096, min 64) is appended
-    to a per-stripe file and emptied, bounding resident journal memory
-    for out-of-core runs; {!iter_entries} streams the merge back. *)
+val create : stripes:int -> t
 
 val record :
   t ->
@@ -53,14 +50,3 @@ val record :
 
 val entries : t -> entry list
 (** The merged journal in completion order. Call after workers joined. *)
-
-val iter_entries : t -> (entry -> unit) -> unit
-(** Stream the merged journal in completion order without materializing
-    it: a k-way merge over the per-stripe spill files and live tails,
-    holding one entry per stripe in memory. Call after workers joined. *)
-
-val spilled : t -> int
-(** Entries written to spill files so far (0 without [spill_dir]). *)
-
-val committed : t -> entry list
-(** Entries whose attempt committed. *)

@@ -2,8 +2,7 @@
    observationally equal to the in-memory log (including every crash
    image across segment boundaries), group commit must batch without
    losing durability, checkpoints must truncate without changing
-   recovery, the era-pruned certifier must keep the exact verdict, and
-   the spill-to-disk recorder must stream back the same journal. *)
+   recovery, and the era-pruned certifier must keep the exact verdict. *)
 
 module Store = Storage.Store
 module Wal = Storage.Wal
@@ -13,7 +12,6 @@ module L = Isolation.Level
 module Generators = Workload.Generators
 module Pool = Runtime.Pool
 module Certifier = Runtime.Certifier
-module Recorder = Runtime.Recorder
 
 let store_eq = Alcotest.testable Store.pp Store.equal
 let record_eq = Alcotest.testable Wal.pp_record ( = )
@@ -324,33 +322,6 @@ let test_pruned_verdict_equals_replay () =
   Alcotest.(check bool) "and = the post-run oracle"
     oracle.Runtime.Oracle.serializable s.Certifier.serializable
 
-(* {2 Recorder spill} *)
-
-let test_recorder_spill_equality () =
-  with_dir "spill" (fun dir ->
-      let feed r =
-        for i = 0 to 299 do
-          Recorder.record r ~job:i ~name:(Printf.sprintf "t%d" i)
-            ~level:L.Serializable ~tid:(i + 1) ~attempt:1 ~worker:(i mod 4)
-            ~start_ns:(i * 10) ~finish_ns:((i * 10) + 5) Recorder.Committed
-        done
-      in
-      let plain = Recorder.create ~stripes:4 () in
-      feed plain;
-      let spilly =
-        Recorder.create ~stripes:4 ~spill_dir:dir ~spill_threshold:64 ()
-      in
-      feed spilly;
-      Alcotest.(check bool) "entries were spilled" true
-        (Recorder.spilled spilly > 0);
-      let baseline = Recorder.entries plain in
-      Alcotest.(check bool) "materialized merge identical" true
-        (Recorder.entries spilly = baseline);
-      let streamed = ref [] in
-      Recorder.iter_entries spilly (fun e -> streamed := e :: !streamed);
-      Alcotest.(check bool) "streamed merge identical" true
-        (List.rev !streamed = baseline))
-
 (* {2 Pool out-of-core smoke}
 
    keep_history:false end to end: no journal, no oracle, the exact
@@ -377,6 +348,8 @@ let test_pool_out_of_core () =
           in
           let r = Pool.run_n cfg ~txns:500 ~gen in
           Alcotest.(check bool) "no journal kept" true (r.Pool.journal = []);
+          Alcotest.(check (array string)) "the ignored spill_dir stays empty"
+            [||] (Sys.readdir spill_dir);
           Alcotest.(check bool) "no oracle ran" true (r.Pool.oracle = None);
           let s = Option.get r.Pool.certifier in
           Alcotest.(check bool) "2PL run certified serializable" true
@@ -395,36 +368,35 @@ let test_pool_out_of_core () =
    truncated log still enumerating clean from its Vcheckpoint base. *)
 let test_pool_out_of_core_mv () =
   with_dir "mv_pool_wal" (fun wal_dir ->
-      with_dir "mv_pool_spill" (fun spill_dir ->
-          let accounts = 8 in
-          let initial = Generators.bank_accounts accounts in
-          let gen i =
-            let p =
-              Generators.stress_program Generators.Transfer ~seed:5 ~accounts
-                ~hot:4 ~ops:4 ~index:i
-            in
-            Pool.job ~name:p.Core.Program.name ~level:L.Snapshot p
-          in
-          let cfg =
-            Pool.config ~workers:4 ~initial ~think_us:0. ~seed:5 ~certify:true
-              ~prune_every:64 ~wal_dir ~wal_segment_bytes:512
-              ~checkpoint_every:100 ~keep_history:false ~spill_dir ()
-          in
-          let r = Pool.run_n cfg ~txns:500 ~gen in
-          Alcotest.(check bool) "no journal kept" true (r.Pool.journal = []);
-          let wal = Option.get r.Pool.wal in
-          let st = Wal.stats wal in
-          Alcotest.(check bool) "Vcheckpoints truncated the versioned log"
-            true
-            (st.Wal.w_checkpoints > 0 && st.Wal.w_truncated_segments > 0);
-          Alcotest.(check bool) "truncated log recovers at every image" true
-            (Crash.ok (Crash.enumerate_mv ~sample:25 ~seed:5 ~initial wal));
-          Alcotest.(check (list (pair string int)))
-            "effects conserved through Vcheckpoints"
-            (List.sort compare
-               (Storage.Version_store.to_latest_list
-                  (Recovery.ideal_mv ~initial wal)))
-            (List.sort compare r.Pool.final)))
+      let accounts = 8 in
+      let initial = Generators.bank_accounts accounts in
+      let gen i =
+        let p =
+          Generators.stress_program Generators.Transfer ~seed:5 ~accounts
+            ~hot:4 ~ops:4 ~index:i
+        in
+        Pool.job ~name:p.Core.Program.name ~level:L.Snapshot p
+      in
+      let cfg =
+        Pool.config ~workers:4 ~initial ~think_us:0. ~seed:5 ~certify:true
+          ~prune_every:64 ~wal_dir ~wal_segment_bytes:512
+          ~checkpoint_every:100 ~keep_history:false ()
+      in
+      let r = Pool.run_n cfg ~txns:500 ~gen in
+      Alcotest.(check bool) "no journal kept" true (r.Pool.journal = []);
+      let wal = Option.get r.Pool.wal in
+      let st = Wal.stats wal in
+      Alcotest.(check bool) "Vcheckpoints truncated the versioned log"
+        true
+        (st.Wal.w_checkpoints > 0 && st.Wal.w_truncated_segments > 0);
+      Alcotest.(check bool) "truncated log recovers at every image" true
+        (Crash.ok (Crash.enumerate_mv ~sample:25 ~seed:5 ~initial wal));
+      Alcotest.(check (list (pair string int)))
+        "effects conserved through Vcheckpoints"
+        (List.sort compare
+           (Storage.Version_store.to_latest_list
+              (Recovery.ideal_mv ~initial wal)))
+        (List.sort compare r.Pool.final))
 
 let suite =
   [
@@ -441,8 +413,6 @@ let suite =
       test_per_commit_fsync_baseline;
     Alcotest.test_case "era-pruned verdict equals unpruned replay" `Quick
       test_pruned_verdict_equals_replay;
-    Alcotest.test_case "recorder spill streams the same journal" `Quick
-      test_recorder_spill_equality;
     Alcotest.test_case "pool runs out-of-core with exact verdict" `Quick
       test_pool_out_of_core;
     Alcotest.test_case "MV crash images agree between memory and disk" `Quick

@@ -61,6 +61,31 @@ let test_delta_matches_recording () =
   Alcotest.(check (list (pair string int)))
     "empty interval abort mix" [] r0.W.d_aborted_by
 
+(* {2 Quantiles inside one bucket}
+
+   100 commit latencies spread over one log2 bucket, [2^20, 2^21) ns:
+   the histogram quantiles must read apart and stay inside the bucket,
+   and the snapshot's never exceed the largest sample. *)
+
+let test_quantiles_interpolate_within_a_bucket () =
+  let m = Metrics.create () in
+  for i = 0 to 99 do
+    Metrics.record_commit ~level:L.Serializable m
+      ~latency_ns:((1 lsl 20) + (i * 10_000))
+  done;
+  let s = Metrics.snapshot m in
+  let q p = Metrics.hist_quantile s.Metrics.lat_hist 100 p in
+  let p50 = q 0.50 and p90 = q 0.90 and p99 = q 0.99 in
+  Alcotest.(check bool) "p50 < p90 < p99" true (p50 < p90 && p90 < p99);
+  let lo = float (1 lsl 20) /. 1e6 and hi = float (1 lsl 21) /. 1e6 in
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check bool) (name ^ " inside the bucket") true
+        (v >= lo && v < hi))
+    [ ("p50", p50); ("p90", p90); ("p99", p99) ];
+  Alcotest.(check bool) "the snapshot's p99 is at most its max" true
+    (s.Metrics.lat_p99_ms <= s.Metrics.lat_max_ms)
+
 (* {2 Monotone live reads under concurrent recording} *)
 
 let test_monotone_under_concurrency () =
@@ -288,4 +313,6 @@ let suite =
       test_final_json_shares_stats_schema;
     Alcotest.test_case "verdict rejects a non-serializable certifier" `Quick
       test_verdict_follows_certifier;
+    Alcotest.test_case "quantiles interpolate within a bucket" `Quick
+      test_quantiles_interpolate_within_a_bucket;
   ]
