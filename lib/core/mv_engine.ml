@@ -58,8 +58,10 @@ type txn_state = {
   mutable status : status;
   mutable env : Program.env;
   mutable writes : (key * value option) list; (* newest first; None deletes *)
-  mutable read_keys : key list;               (* items read, for validation *)
-  mutable read_preds : Predicate.t list;      (* predicates read, for validation *)
+  mutable read_keys : key list;
+      (* items read; kept only at Serializable_snapshot, the one level
+         whose commit validates reads ([read_validation_conflict]) *)
+  mutable read_preds : Predicate.t list;      (* predicates read; likewise *)
   cursors : (string, cursor_state) Hashtbl.t;
 }
 
@@ -199,15 +201,20 @@ let affected_predicates t k ~before ~after =
       else None)
     t.predicates
 
+(* Read sets exist for [read_validation_conflict] alone, so the levels
+   that never validate reads keep none: a SNAPSHOT audit would otherwise
+   pay a scan of its read set on every read. *)
 let record_read st k =
-  if not (List.mem k st.read_keys) then st.read_keys <- k :: st.read_keys
+  if st.level = Serializable_snapshot && not (List.mem k st.read_keys) then
+    st.read_keys <- k :: st.read_keys
 
 let record_pred st p =
   if
-    not
-      (List.exists
-         (fun q -> Predicate.name q = Predicate.name p)
-         st.read_preds)
+    st.level = Serializable_snapshot
+    && not
+         (List.exists
+            (fun q -> Predicate.name q = Predicate.name p)
+            st.read_preds)
   then st.read_preds <- p :: st.read_preds
 
 let do_read t st k =

@@ -1,14 +1,14 @@
 (** Mutable directed graphs over integer-identified nodes (transaction
     ids), with adjacency stored in a fixed array of hash shards keyed by
-    [id mod shards]. Edge and node deletion are cheap, so long-running
-    consumers (the waits-for graph, the online certifier) can retire
-    transactions as they finish; the offline queries below (cycle
-    witness, topological sort) serve the per-history analyses —
-    dependency graphs, the MVSG, the deterministic executor's waits-for
-    check.
+    [id mod shards]. The offline queries below (cycle witness,
+    topological sort) serve the per-history analyses — dependency
+    graphs, the MVSG, the deterministic executor's waits-for check. The
+    long-running consumers (the waits-for graph, the online certifier)
+    use {!Incremental} instead, which keeps its own adjacency; the
+    deletions here let tests mirror it.
 
     Not internally synchronised: callers that mutate from several domains
-    must serialise access (as [Incremental] does). *)
+    must serialise access. *)
 
 type t
 

@@ -770,7 +770,7 @@ let retire_sources t =
        | Some Committed -> true
        | _ -> false)
     && (not (Hashtbl.mem referenced n))
-    && Graph.Incremental.preds t.g n = []
+    && Graph.Incremental.in_degree t.g n = 0
   in
   (* An Aborted entry only exists to deaden later offers that touch the
      transaction (a stale reader-list member, a held closing edge). Once
@@ -791,7 +791,9 @@ let retire_sources t =
   let roots =
     Hashtbl.fold (fun n _ acc -> if retirable n then n :: acc else acc) t.status []
   in
-  (* Removing a source exposes its successors; cascade within the pass. *)
+  (* Removing a source exposes its successors; cascade within the pass.
+     Each retired node's successors are pushed on the work stack, so the
+     pass costs time in proportion to the edges it removes. *)
   let rec go = function
     | [] -> ()
     | n :: rest when not (Hashtbl.mem t.status n) -> go rest
@@ -802,7 +804,7 @@ let retire_sources t =
       undoom t n;
       Hashtbl.remove t.levels n;
       t.pruned_nodes <- t.pruned_nodes + 1;
-      go (List.filter retirable succs @ rest)
+      go (List.fold_left (fun acc s -> if retirable s then s :: acc else acc) rest succs)
   in
   go roots;
   (* Kind entries for edges no longer in the graph (abort purges, node

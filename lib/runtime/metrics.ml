@@ -39,6 +39,14 @@ type t = {
   lat_hist : int Atomic.t array;  (* commit latencies, bucket = log2 ns *)
   lat_sum_ns : Stripes.Counter.t;
   lat_max_ns : int Atomic.t;      (* CAS-raised high-water mark *)
+  (* Interval maxima: every snapshot closes an epoch, swapping
+     [epoch_max_ns] (raised like [lat_max_ns]) into the closed epoch's
+     ring slot, so any two snapshots at most [epochs] apart bound the
+     commit latencies recorded between them. *)
+  epoch_max_ns : int Atomic.t;
+  epoch_m : Mutex.t;
+  mutable epoch : int;
+  epoch_ring : int array;         (* epoch e's max at e mod [epochs] *)
   (* Phase breakdown of committed attempts: wall = exec + lock wait.
      Failed attempts land in retry_overhead_ns instead (their whole wall
      time, plus the restart backoffs between attempts). *)
@@ -103,6 +111,8 @@ let abort_reason_slug = function
   | Engine.Deadline_exceeded -> "deadline_exceeded"
   | Engine.Certifier_abort -> "certifier_abort"
 
+let epochs = 32
+
 let create ?(stripes = 1) () =
   let nstripes = max 1 stripes + 1 (* + the predicate stripe *) in
   {
@@ -117,6 +127,10 @@ let create ?(stripes = 1) () =
     lat_hist = Array.init buckets (fun _ -> Atomic.make 0);
     lat_sum_ns = Stripes.Counter.create ();
     lat_max_ns = Atomic.make 0;
+    epoch_max_ns = Atomic.make 0;
+    epoch_m = Mutex.create ();
+    epoch = 0;
+    epoch_ring = Array.make epochs 0;
     exec_hist = Array.init buckets (fun _ -> Atomic.make 0);
     exec_sum_ns = Stripes.Counter.create ();
     cwait_hist = Array.init buckets (fun _ -> Atomic.make 0);
@@ -155,6 +169,7 @@ let record_commit ?(wait_ns = 0) ?level t ~latency_ns =
   record_level t.level_commits level;
   Stripes.Counter.add t.lat_sum_ns latency_ns;
   raise_max t.lat_max_ns latency_ns;
+  raise_max t.epoch_max_ns latency_ns;
   ignore (Atomic.fetch_and_add t.lat_hist.(bucket_of_ns latency_ns) 1);
   let wait_ns = min wait_ns latency_ns in
   let exec_ns = latency_ns - wait_ns in
@@ -228,6 +243,8 @@ type snapshot = {
   watchdog_kicks : int;
   certifier_aborts : int;
   lat_hist : int array;
+  epoch : int;
+  epoch_max_ns : int array;
   per_level : level_stats list;
 }
 
@@ -252,6 +269,11 @@ let hist_quantile hist total q =
   end
 
 let snapshot (t : t) =
+  Mutex.lock t.epoch_m;
+  t.epoch <- t.epoch + 1;
+  t.epoch_ring.(t.epoch mod epochs) <- Atomic.exchange t.epoch_max_ns 0;
+  let epoch = t.epoch and epoch_max_ns = Array.copy t.epoch_ring in
+  Mutex.unlock t.epoch_m;
   let committed = Stripes.Counter.sum t.committed in
   let stripe_acquired =
     Array.fold_left (fun acc a -> acc + Atomic.get a) 0 t.stripe_acquired
@@ -332,6 +354,8 @@ let snapshot (t : t) =
     watchdog_kicks = Stripes.Counter.sum t.watchdog_kicks;
     certifier_aborts = Stripes.Counter.sum t.certifier_aborts;
     lat_hist = Array.map Atomic.get t.lat_hist;
+    epoch;
+    epoch_max_ns;
     per_level;
   }
 
@@ -432,5 +456,10 @@ let to_json ?(extra = []) s =
     (Printf.sprintf "[%s]"
        (String.concat ","
           (Array.to_list (Array.map string_of_int s.lat_hist))));
+  field "epoch" (string_of_int s.epoch);
+  field "epoch_max_ns"
+    (Printf.sprintf "[%s]"
+       (String.concat ","
+          (Array.to_list (Array.map string_of_int s.epoch_max_ns))));
   Buffer.add_char b '}';
   Buffer.contents b

@@ -135,6 +135,14 @@ type snapshot = {
       (** raw commit-latency bucket counts (bucket i covers latencies of
           roughly [2^i] ns); monotone between snapshots, so two snapshots
           diff into an interval histogram *)
+  epoch : int;
+      (** every snapshot closes one epoch; this is the number of the one
+          it closed *)
+  epoch_max_ns : int array;
+      (** the largest commit latency (ns) recorded in each of the last
+          [Array.length] epochs, epoch [e] at index [e mod length]: the
+          max of an interval between two snapshots whose epochs are at
+          most that far apart *)
   per_level : level_stats list;
       (** per-isolation-level outcomes, non-zero levels only; sites that
           don't know the level feed only the global counters, so the

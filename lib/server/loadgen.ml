@@ -391,6 +391,8 @@ let run cfg =
                  certifier_aborts = 0;
                  per_level = [];
                  lat_hist = [||];
+                 epoch = 0;
+                 epoch_max_ns = [||];
                }
              in
              let prev = ref (cut ()) in

@@ -25,6 +25,8 @@ type sample = {
   per_level : (string * int * int * int) list;
       (* level slug -> cumulative committed, aborted, doomed *)
   lat_hist : int array; (* cumulative log2 bucket counts; may be [||] *)
+  epoch : int;
+  epoch_max_ns : int array; (* per-epoch max latency ring; may be [||] *)
 }
 
 let of_snapshot (s : Metrics.snapshot) =
@@ -45,6 +47,8 @@ let of_snapshot (s : Metrics.snapshot) =
           (Isolation.Level.slug l.level, l.l_committed, l.l_aborted, l.l_doomed))
         s.per_level;
     lat_hist = s.lat_hist;
+    epoch = s.epoch;
+    epoch_max_ns = s.epoch_max_ns;
   }
 
 (* Rebuild a sample from the [Metrics.to_json] object (the ["metrics"]
@@ -76,8 +80,8 @@ let of_json j =
           fields
       | _ -> []
     in
-    let lat_hist =
-      match Option.bind (J.member "lat_hist" j) J.to_list with
+    let ints k =
+      match Option.bind (J.member k j) J.to_list with
       | Some xs ->
         Array.of_list
           (List.map (fun x -> Option.value ~default:0 (J.to_int_opt x)) xs)
@@ -95,7 +99,9 @@ let of_json j =
         stalls = zero "stalls";
         certifier_aborts = zero "certifier_aborts";
         per_level;
-        lat_hist;
+        lat_hist = ints "lat_hist";
+        epoch = zero "epoch";
+        epoch_max_ns = ints "epoch_max_ns";
       }
 
 type rates = {
@@ -128,6 +134,21 @@ let assoc_delta older newer =
       if n - prev > 0 then Some (k, n - prev) else None)
     newer
 
+(* The largest commit latency recorded between the two samples, in ms:
+   the max over the epochs the newer sample closed since the older one,
+   when its ring still holds them all; otherwise unknown ([infinity]). *)
+let interval_max_ms (older : sample) (newer : sample) =
+  let n = Array.length newer.epoch_max_ns in
+  let span = newer.epoch - older.epoch in
+  if n = 0 || span <= 0 || span > n then infinity
+  else begin
+    let m = ref 0 in
+    for e = older.epoch + 1 to newer.epoch do
+      m := max !m newer.epoch_max_ns.(e mod n)
+    done;
+    float !m /. 1e6
+  end
+
 let delta (older : sample) (newer : sample) =
   let interval_s = Float.max 1e-9 (newer.at -. older.at) in
   let d_committed = d older.committed newer.committed in
@@ -139,6 +160,11 @@ let delta (older : sample) (newer : sample) =
     else Array.mapi (fun i n -> d older.lat_hist.(i) n) newer.lat_hist
   in
   let htotal = Array.fold_left ( + ) 0 hist in
+  (* Interpolation can land above the interval's largest sample in its
+     top bucket; a quantile never exceeds that max. *)
+  let quantile q =
+    Float.min (interval_max_ms older newer) (Metrics.hist_quantile hist htotal q)
+  in
   let d_per_level =
     List.filter_map
       (fun (slug, c, a, dm) ->
@@ -166,8 +192,8 @@ let delta (older : sample) (newer : sample) =
     d_per_level;
     commit_rate = float d_committed /. interval_s;
     abort_rate = float d_aborted /. interval_s;
-    lat_p50_ms = Metrics.hist_quantile hist htotal 0.50;
-    lat_p99_ms = Metrics.hist_quantile hist htotal 0.99;
+    lat_p50_ms = quantile 0.50;
+    lat_p99_ms = quantile 0.99;
   }
 
 let pp_rates ppf r =

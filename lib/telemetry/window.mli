@@ -26,6 +26,11 @@ type sample = {
   lat_hist : int array;
       (** cumulative log₂ latency bucket counts; [[||]] when the source
           carries no histogram (e.g. a loadgen-side sample) *)
+  epoch : int;
+  epoch_max_ns : int array;
+      (** the source's {!Runtime.Metrics.snapshot} epoch and per-epoch
+          max latency ring ([0] and [[||]] when it carries none): what
+          caps an interval's quantiles at the interval's own max *)
 }
 
 val of_snapshot : Runtime.Metrics.snapshot -> sample
@@ -50,7 +55,9 @@ type rates = {
   abort_rate : float;
   lat_p50_ms : float;
       (** latency quantiles of the *interval's* commits (histogram
-          delta); 0 when no histogram or no commits *)
+          delta), capped at the interval's largest commit latency when
+          the newer sample's epoch ring covers the interval; 0 when no
+          histogram or no commits *)
   lat_p99_ms : float;
 }
 

@@ -2,8 +2,8 @@
    for the Pearce-Kelly structure's contract — the topological-order
    invariant after every insertion, witness validity at the rejected
    closing edge, duplicate handling, deletions — plus a property hunt:
-   random edge sequences must agree with Digraph's offline depth-first
-   acyclicity verdict at every step. *)
+   random sequences of offers and removals must agree with a Digraph
+   mirror at every step. *)
 
 module D = Graph.Digraph
 module I = Graph.Incremental
@@ -165,39 +165,135 @@ let test_remove_out_edges () =
 
 (* {2 Agreement with the offline graph}
 
-   Feed random edge offers (cycles likely) to the incremental structure
-   and mirror the *accepted* ones into a plain Digraph. At every step:
-   the mirror must be acyclic (the incremental structure never admits a
-   cycle), and a rejected offer added to the mirror must make it cyclic
-   (no spurious rejection). *)
+   Feed random operations — edge offers (cycles likely) interleaved with
+   edge, out-edge and node removals — to the incremental structure and
+   mirror each one into a plain Digraph, which holds the accepted edges.
+   After every operation the offer's outcome must match the mirror (a
+   present edge is [`Exists], an edge whose target already reaches its
+   source is a [`Cycle] with a stored witness path, anything else is
+   [`Ok]), and both graphs must agree on every node's sorted successors
+   and predecessors, the node and edge counts, and the order invariant.
+   Half the offers point into a hub node, so its predecessor set is
+   promoted past the flat size and shrinks back as edges go. *)
+
+let reaches off ~src ~dst =
+  let seen = Hashtbl.create 16 in
+  let rec go n =
+    n = dst
+    || (not (Hashtbl.mem seen n))
+       && begin
+         Hashtbl.replace seen n ();
+         List.exists go (D.succs off n)
+       end
+  in
+  go src
+
+let check_mirror g off ~what =
+  let ints = Alcotest.(list int) in
+  Alcotest.(check ints) (what ^ ": nodes") (D.nodes off) (I.nodes g);
+  Alcotest.(check int) (what ^ ": node_count") (D.node_count off) (I.node_count g);
+  Alcotest.(check int) (what ^ ": edge_count") (D.edge_count off) (I.edge_count g);
+  List.iter
+    (fun n ->
+      Alcotest.(check ints) (what ^ ": succs") (D.succs off n) (I.succs g n);
+      Alcotest.(check ints) (what ^ ": preds") (D.preds off n) (I.preds g n);
+      Alcotest.(check int)
+        (what ^ ": in_degree")
+        (List.length (D.preds off n))
+        (I.in_degree g n))
+    (D.nodes off);
+  check_order g
 
 let test_agrees_with_offline () =
   List.iter
     (fun seed ->
       let st = Random.State.make [| 0xf00d; seed |] in
       let g = I.create () in
-      let accepted = ref [] in
-      for _ = 1 to 300 do
-        let a = Random.State.int st 20 and b = Random.State.int st 20 in
-        match I.add_edge g a b with
-        | `Ok ->
-          accepted := (a, b) :: !accepted;
-          let off = D.create () in
-          List.iter (fun (x, y) -> D.add_edge off x y) !accepted;
-          if not (D.is_acyclic off) then
-            Alcotest.failf "seed %d: admitted a cycle via %d -> %d" seed a b
-        | `Exists ->
-          if not (List.mem (a, b) !accepted) then
-            Alcotest.failf "seed %d: phantom duplicate %d -> %d" seed a b
-        | `Cycle w ->
-          check_witness g ~src:a ~dst:b w;
-          let off = D.create () in
-          List.iter (fun (x, y) -> D.add_edge off x y) ((a, b) :: !accepted);
-          if D.is_acyclic off then
-            Alcotest.failf "seed %d: spurious rejection of %d -> %d" seed a b
-      done;
-      check_order g)
-    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+      let off = D.create () in
+      let node () = Random.State.int st 60 in
+      (* Half the pairs point into the hub 0. *)
+      let pair () =
+        let a = node () in
+        (a, if Random.State.bool st then 0 else node ())
+      in
+      for step = 1 to 400 do
+        let what = Printf.sprintf "seed %d step %d" seed step in
+        (match Random.State.int st 20 with
+        | 0 ->
+          let a = node () in
+          I.remove_node g a;
+          D.remove_node off a
+        | 1 ->
+          let a = node () in
+          I.remove_out_edges g a;
+          D.remove_out_edges off a
+        | 2 | 3 | 4 | 5 ->
+          let a, b = pair () in
+          I.remove_edge g a b;
+          D.remove_edge off a b
+        | _ -> (
+          let a, b = pair () in
+          let expect =
+            if D.mem_edge off a b then `Exists
+            else if reaches off ~src:b ~dst:a then `Cycle
+            else `Ok
+          in
+          D.add_node off a;
+          D.add_node off b;
+          match (I.add_edge g a b, expect) with
+          | `Ok, `Ok -> D.add_edge off a b
+          | `Exists, `Exists -> ()
+          | `Cycle w, `Cycle -> check_witness g ~src:a ~dst:b w
+          | _ -> Alcotest.failf "%s: offer %d -> %d disagrees with the mirror" what a b));
+        check_mirror g off ~what
+      done)
+    (List.init 20 (fun i -> i + 1))
+
+(* A node far past the flat size: 3,000 in-edges, then half its
+   predecessors leave — alternately by edge and by node removal — and
+   neither side of any removed edge may keep a trace of it; then all
+   but a few leave, so the set shrinks back to flat. *)
+let test_high_degree_removal () =
+  let g = I.create () and off = D.create () in
+  let n = 3000 in
+  for p = 1 to n do
+    Alcotest.(check bool) "accepted" true (I.add_edge g p 0 = `Ok);
+    D.add_edge off p 0
+  done;
+  Alcotest.(check int) "in_degree" n (I.in_degree g 0);
+  for p = 1 to n do
+    if p mod 2 = 0 then
+      if p mod 4 = 0 then begin
+        I.remove_edge g p 0;
+        D.remove_edge off p 0
+      end
+      else begin
+        I.remove_node g p;
+        D.remove_node off p
+      end
+  done;
+  check_mirror g off ~what:"after removals";
+  Alcotest.(check int) "half the preds left" (n / 2) (I.in_degree g 0);
+  for p = 1 to n do
+    let kept = p mod 2 = 1 in
+    Alcotest.(check bool) (Printf.sprintf "edge %d -> 0" p) kept (I.mem_edge g p 0);
+    Alcotest.(check (list int))
+      (Printf.sprintf "succs %d" p)
+      (if kept then [ 0 ] else [])
+      (I.succs g p)
+  done;
+  (* Removed preds may come back, and the hub can still reach out. *)
+  Alcotest.(check bool) "re-added" true (I.add_edge g 2 0 = `Ok);
+  D.add_edge off 2 0;
+  Alcotest.(check bool) "closing edge rejected" true
+    (match I.add_edge g 0 1 with `Cycle [ 1; 0 ] -> true | _ -> false);
+  (* Shrinking back to a flat set keeps the survivors. *)
+  for p = 7 to n do
+    I.remove_out_edges g p;
+    D.remove_out_edges off p
+  done;
+  check_mirror g off ~what:"after shrinking";
+  Alcotest.(check (list int)) "survivors" [ 1; 2; 3; 5 ] (I.preds g 0)
 
 (* {2 The plain digraph} *)
 
@@ -232,5 +328,6 @@ let suite =
     Alcotest.test_case "remove_out_edges" `Quick test_remove_out_edges;
     Alcotest.test_case "agrees with History.Digraph" `Quick
       test_agrees_with_offline;
+    Alcotest.test_case "high-degree removal" `Quick test_high_degree_removal;
     Alcotest.test_case "digraph basics" `Quick test_digraph_basics;
   ]

@@ -249,6 +249,28 @@ let test_ssi_read_only_never_aborts () =
     (Executor.Aborted Core.Engine.Serialization_failure)
     (List.assoc 1 r2.Executor.statuses)
 
+(* Only SERIALIZABLE SI keeps a read set, and it must keep all of it: a
+   read of [x] followed by 255 more reads still fails validation when a
+   concurrent writer of [x] commits first. The same schedule at plain
+   SNAPSHOT, which keeps no read set, commits. *)
+let test_ssi_validates_early_read () =
+  let others = List.init 255 (Printf.sprintf "k%03d") in
+  let initial = ("x", 1) :: List.map (fun k -> (k, 0)) others in
+  let audit =
+    P.make ((P.Read "x" :: List.map (fun k -> P.Read k) others) @ [ P.Commit ])
+  in
+  let writer = P.make [ P.Write ("x", P.const 9); P.Commit ] in
+  let schedule = (1 :: 2 :: 2 :: List.map (fun _ -> 1) others) @ [ 1 ] in
+  let r = run ~initial L.Serializable_snapshot [ audit; writer ] schedule in
+  Alcotest.(check Support.exec_status) "writer commits" Executor.Committed
+    (List.assoc 2 r.Executor.statuses);
+  Alcotest.(check Support.exec_status) "early read still validated"
+    (Executor.Aborted Core.Engine.Serialization_failure)
+    (List.assoc 1 r.Executor.statuses);
+  let si = run ~initial L.Snapshot [ audit; writer ] schedule in
+  Alcotest.(check bool) "SNAPSHOT: both commit" true
+    (List.for_all (fun (_, s) -> s = Executor.Committed) si.Executor.statuses)
+
 (* Time travel (§4.2): a read-only transaction with an old Start-Timestamp
    sees the historical database and never blocks. *)
 let test_time_travel () =
@@ -424,6 +446,8 @@ let suite =
       test_ssi_prevents_predicate_phantom;
     Alcotest.test_case "SSI validation timing" `Quick
       test_ssi_read_only_never_aborts;
+    Alcotest.test_case "SSI validates an early read" `Quick
+      test_ssi_validates_early_read;
     Alcotest.test_case "time travel" `Quick test_time_travel;
     Alcotest.test_case "time-travel updates abort" `Quick
       test_time_travel_update_aborts;

@@ -86,6 +86,43 @@ let test_quantiles_interpolate_within_a_bucket () =
   Alcotest.(check bool) "the snapshot's p99 is at most its max" true
     (s.Metrics.lat_p99_ms <= s.Metrics.lat_max_ms)
 
+(* {2 Interval quantiles stop at the interval's max}
+
+   One interval of 100 commits, all near the bottom of one log2 bucket,
+   after an earlier interval whose larger sample sits in the same
+   bucket: interpolation alone would read the interval p99 near the
+   bucket's top, above every latency the interval recorded. Read both
+   from local snapshots and through the STATS JSON. *)
+
+let test_interval_quantiles_capped () =
+  let m = Metrics.create () in
+  Metrics.record_commit m ~latency_ns:((1 lsl 21) - 1_000);
+  let s0 = Metrics.snapshot m in
+  for i = 0 to 99 do
+    Metrics.record_commit m ~latency_ns:((1 lsl 20) + (i * 50))
+  done;
+  let s1 = Metrics.snapshot m in
+  let via_json s =
+    match Result.map W.of_json (J.parse (Metrics.to_json s)) with
+    | Ok (Some w) -> w
+    | _ -> Alcotest.fail "metrics JSON did not round-trip"
+  in
+  let imax = float ((1 lsl 20) + (99 * 50)) /. 1e6 in
+  List.iter
+    (fun (how, w0, w1) ->
+      let r = W.delta w0 w1 in
+      Alcotest.(check int) (how ^ ": interval commits") 100 r.W.d_committed;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: p99 %.4f <= interval max %.4f" how r.W.lat_p99_ms imax)
+        true
+        (r.W.lat_p99_ms > 0. && r.W.lat_p99_ms <= imax);
+      Alcotest.(check bool) (how ^ ": p50 <= p99") true
+        (r.W.lat_p50_ms <= r.W.lat_p99_ms))
+    [
+      ("local", W.of_snapshot s0, W.of_snapshot s1);
+      ("STATS JSON", via_json s0, via_json s1);
+    ]
+
 (* {2 Monotone live reads under concurrent recording} *)
 
 let test_monotone_under_concurrency () =
@@ -315,4 +352,6 @@ let suite =
       test_verdict_follows_certifier;
     Alcotest.test_case "quantiles interpolate within a bucket" `Quick
       test_quantiles_interpolate_within_a_bucket;
+    Alcotest.test_case "interval quantiles stop at the interval max" `Quick
+      test_interval_quantiles_capped;
   ]
