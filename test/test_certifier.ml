@@ -286,10 +286,15 @@ let test_serializable_certify_is_noop () =
         0 r.Pool.metrics.Metrics.certifier_aborts)
     seeds
 
-(* The poll contract under real concurrency: two workers with no think
-   time keep the certifier lock busy, so non-commit polls often read the
-   published set. Cycles still never reach the committed projection, and
-   no transaction the certifier doomed ever commits. *)
+(* The poll contract under real concurrency: two workers contend for
+   the certifier lock, so a non-commit poll may read the published set.
+   Cycles still never reach the committed projection, and no transaction
+   the certifier doomed ever commits. The 1 µs think time is what makes
+   the two workers interleave: a statement's sleep hands the CPU to the
+   other worker. With none, a 48-job run on a small host often executes
+   its transactions back to back (one worker runs them all, or the two
+   alternate whole transactions), and a sweep then dooms no one; with it
+   every seed dooms several. *)
 let test_two_worker_polls_never_commit_a_doom () =
   List.iter
     (fun level ->
@@ -306,7 +311,7 @@ let test_two_worker_polls_never_commit_a_doom () =
           let cfg =
             Pool.config ~workers:2
               ~initial:(Generators.bank_accounts 8)
-              ~think_us:0. ~seed ~certify:true ()
+              ~think_us:1. ~seed ~certify:true ()
           in
           let r = Pool.run_n cfg ~txns:48 ~gen in
           let tag what = Printf.sprintf "%s seed %d %s" (L.name level) seed what in
