@@ -123,9 +123,7 @@ let analyze dot history_text =
     if not (History.Mv.is_mv h) then
       Format.printf "recoverability: %a@." History.Recoverability.pp_class
         (History.Recoverability.classify h);
-    let witnesses =
-      List.concat_map (fun p -> Phenomena.Detect.detect p h) P.all
-    in
+    let witnesses = List.concat_map snd (Phenomena.Detect.detect_all h) in
     if witnesses = [] then Format.printf "phenomena: none@."
     else begin
       Format.printf "phenomena:@.";
@@ -363,15 +361,20 @@ let run_cmd =
 
 (* Wire SIGINT to the pool's drain flag: the first Ctrl-C finishes
    in-flight transactions, takes no new work, and still reports (trace,
-   journal, oracle all intact); a second Ctrl-C kills the process. *)
+   journal, oracle all intact); a second Ctrl-C kills the process. A
+   repeat within 0.2 s is the same Ctrl-C delivered twice, as `timeout`
+   does outside --foreground (to its child and its process group). *)
 let drain_on_sigint () =
-  let stop = Atomic.make false in
+  let stop = Atomic.make false and first = ref 0. in
   (try
      Sys.set_signal Sys.sigint
        (Sys.Signal_handle
           (fun _ ->
-            if Atomic.get stop then Stdlib.exit 130
+            if Atomic.get stop then begin
+              if Unix.gettimeofday () -. !first > 0.2 then Stdlib.exit 130
+            end
             else begin
+              first := Unix.gettimeofday ();
               Atomic.set stop true;
               prerr_endline
                 "draining: finishing in-flight transactions (Ctrl-C again to \
@@ -380,9 +383,9 @@ let drain_on_sigint () =
    with Invalid_argument _ -> ());
   stop
 
-(* Above this many transactions the full engine trace (and the
-   polynomial oracle over it) stops being tenable; stress flips to the
-   out-of-core pipeline unless --history forces it back on. *)
+(* Above this many transactions the full engine trace stops being worth
+   its memory; stress flips to the out-of-core pipeline unless --history
+   forces it back on. *)
 let out_of_core_threshold = 65_536
 
 (* The flight recorder behind --trace, when one was asked for. *)
@@ -501,28 +504,14 @@ let history_arg =
     value & opt (some bool) None
     & info [ "history" ] ~docv:"BOOL"
         ~doc:
-          "Keep the full engine trace and run the post-run oracle over it. \
+          "Keep the full engine trace and run the post-run oracle over all \
+           of it (no window: the oracle costs the size of the history \
+           plus what it finds). \
            $(b,serve) defaults to true; $(b,stress) to true up to 65536 \
            transactions (and for --duration runs), false above. false is \
            the out-of-core mode: no trace and no attempt journal are kept, \
            and the online certifier ($(b,--certify)) carries the \
            serializability verdict.")
-
-(* Each command keeps its own default: 0 for stress, 64 for serve. *)
-let oracle_window_arg default =
-  Arg.(
-    value & opt int default
-    & info [ "oracle-window" ] ~docv:"N"
-        ~doc:
-          "Run the post-run anomaly detectors over sliding N-transaction \
-           windows instead of the whole history; 0 means the whole history. \
-           Reports stay sound; counts become per-window lower bounds. \
-           Serializability is still decided on the full history by an \
-           incremental-graph replay, so cross-window cycles are never \
-           missed. A window makes long runs checkable.")
-
-(* The Pool.config window of an --oracle-window value. *)
-let oracle_window_of n = if n = 0 then None else Some n
 
 (* Where serve listens, and where loadgen and top connect. *)
 let host_arg doc =
@@ -549,7 +538,7 @@ let trace_arg =
            $(b,isolation_lab explain).")
 
 let stress workers level levels_spec mix_name txns duration accounts hot ops
-    think seed fuw stripes coarse oracle_window certify wal_dir
+    think seed fuw stripes coarse certify wal_dir
     checkpoint_every history faults stall_us deadline_ms watchdog_ms
     crash_points crash_sample json_path trace_path telemetry_path =
   let mix = mix_or_exit mix_name in
@@ -625,7 +614,7 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
   in
   let cfg =
     Runtime.Pool.config ~workers ~initial ~first_updater_wins:fuw ~stripes
-      ~coarse ?oracle_window:(oracle_window_of oracle_window) ~think_us:think
+      ~coarse ~think_us:think
       ~seed ?trace:sink ~certify ~criterion ~family ?fault:plan
       ?deadline_us:(Option.map (fun ms -> ms *. 1000.) deadline_ms)
       ?watchdog_us:(Option.map (fun ms -> ms *. 1000.) watchdog_ms)
@@ -980,7 +969,7 @@ let stress_cmd =
     (Cmd.info "stress"
        ~doc:
          "Drive the engines with concurrent worker domains and check the \
-          recorded history with the serializability oracle. With \
+          whole recorded history with the serializability oracle. With \
           $(b,--faults) the run injects deterministic seeded faults — \
           worker stalls, spurious failures, forced deadlock victims, torn \
           WAL commits — and checks that committed effects are conserved; \
@@ -989,10 +978,10 @@ let stress_cmd =
     Term.(
       const stress $ workers_arg $ level_arg $ levels_spec_arg $ mix_arg
       $ txns_arg $ duration_arg $ accounts_arg $ hot_arg $ ops_arg $ think_arg
-      $ seed_arg $ fuw_arg $ stripes_arg $ coarse_arg $ oracle_window_arg 0
-      $ certify_arg $ wal_dir_arg $ checkpoint_arg $ history_arg $ faults_arg
-      $ stall_us_arg $ deadline_arg $ watchdog_arg $ crash_points_arg
-      $ crash_sample_arg $ json_arg $ trace_arg $ telemetry_arg)
+      $ seed_arg $ fuw_arg $ stripes_arg $ coarse_arg $ certify_arg
+      $ wal_dir_arg $ checkpoint_arg $ history_arg $ faults_arg $ stall_us_arg
+      $ deadline_arg $ watchdog_arg $ crash_points_arg $ crash_sample_arg
+      $ json_arg $ trace_arg $ telemetry_arg)
 
 (* {2 explain — re-render a recorded trace} *)
 
@@ -1093,7 +1082,7 @@ let family_name = function
   | `Timestamp -> "timestamp"
 
 let serve workers family_str level criterion_str port host accounts stripes
-    coarse certify certify_batch oracle_window wal_dir checkpoint_every history
+    coarse certify certify_batch wal_dir checkpoint_every history
     duration drain_grace seed disconnect_rate trace_path json_path
     telemetry_port =
   let family =
@@ -1135,8 +1124,7 @@ let serve workers family_str level criterion_str port host accounts stripes
   let pool =
     Runtime.Pool.config ~workers
       ~initial:(Workload.Generators.bank_accounts accounts)
-      ~stripes ~coarse ~certify ~certify_batch ~criterion
-      ?oracle_window:(oracle_window_of oracle_window) ~seed
+      ~stripes ~coarse ~certify ~certify_batch ~criterion ~seed
       ?trace:sink ?fault ?wal_dir ~checkpoint_every ~keep_history ()
   in
   let cfg =
@@ -1248,12 +1236,12 @@ let serve_cmd =
        ~doc:
          "Serve the wire protocol: sessions declare isolation levels, \
           transactions multiplex over the worker-domain pool, and the \
-          recorded history is oracle-checked at shutdown.")
+          whole recorded history is oracle-checked at shutdown.")
     Term.(
       const serve $ workers_arg $ family_arg $ level_arg $ criterion_arg
       $ port_arg "Listen port (0 picks one)." $ host_arg "Listen address."
       $ accounts_arg $ stripes_arg $ coarse_arg $ certify_arg
-      $ certify_batch_arg $ oracle_window_arg 64 $ wal_dir_arg $ checkpoint_arg
+      $ certify_batch_arg $ wal_dir_arg $ checkpoint_arg
       $ history_arg $ duration_arg $ drain_grace_arg $ seed_arg
       $ disconnect_arg $ trace_arg $ json_arg $ telemetry_port_arg)
 

@@ -92,8 +92,10 @@ let edge_count g = g.edges
 (* One depth-first search in ascending node order ([nodes] and [succs]
    are sorted, so it is deterministic). It retains the path, so a back
    edge yields the cycle itself rather than just its existence; on an
-   acyclic graph the reversed post-order is a topological order. *)
-let search g =
+   acyclic graph the reversed post-order is a topological order. [succs]
+   is asked once per node reached, so a caller can compute a graph's
+   adjacency on demand instead of storing it. *)
+let search_by ~nodes ~succs =
   let state = Hashtbl.create 16 in
   (* state: absent = unvisited, `Active = on stack, `Done = finished *)
   let order = ref [] in
@@ -119,14 +121,20 @@ let search g =
           | Some _ as c -> c
           | None -> loop rest)
       in
-      loop (succs g n)
+      loop (succs n)
   in
   let rec scan = function
     | [] -> Ok !order
     | n :: rest -> (
       match dfs [] n with Some c -> Error c | None -> scan rest)
   in
-  scan (nodes g)
+  scan nodes
+
+let search g = search_by ~nodes:(nodes g) ~succs:(succs g)
+
+let find_cycle_by ~nodes ~succs =
+  match search_by ~nodes ~succs with Error c -> Some c | Ok _ -> None
+
 
 let find_cycle g = match search g with Error c -> Some c | Ok _ -> None
 let is_acyclic g = Result.is_ok (search g)

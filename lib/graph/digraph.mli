@@ -45,6 +45,10 @@ val find_cycle : t -> int list option
     cycle in [g], or [None] if [g] is acyclic. A depth-first search in
     ascending node order, so the witness is deterministic. *)
 
+val find_cycle_by : nodes:int list -> succs:(int -> int list) -> int list option
+(** {!find_cycle} of the graph with these nodes and successors (both
+    ascending; [succs] is asked once per node reached), unstored. *)
+
 val is_acyclic : t -> bool
 
 val topological_sort : t -> int list option

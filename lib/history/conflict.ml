@@ -34,25 +34,66 @@ let classify a b =
   | (Action.Read _ | Action.Pred_read _), Action.Write _ -> Read_write
   | _ -> assert false (* only called on conflicting pairs *)
 
+module X = Index
+
+(* The actions after position [i] that conflict with the one there,
+   ascending, from the later entries of its own item and predicate
+   slots. [~every:false] keeps only enough item conflicts for every
+   cycle: a write reaches its item's accesses up to the next write of
+   it, a read (or predicate read, per matched item) only that next
+   write, so each conflicting pair is joined by a path through the
+   writes between them, in linearly many edges. Predicate-name pairs
+   do not chain through writes and stay whole. *)
+let conflicts_after ~every x i =
+  let a = x.X.arr.(i) in
+  let upto slot hi = X.union_between [ X.at x slot ] i hi in
+  let next_write k = X.next (X.at x (Writes_on k)) i in
+  let item_end k =
+    let w = next_write k in
+    if every || w = max_int then max_int else w + 1
+  in
+  let first_writes k =
+    if every then upto (Writes_on k) max_int
+    else List.filter (( <> ) max_int) [ next_write k ]
+  in
+  (match a with
+  | Action.Read r -> [ first_writes r.rk ]
+  | Action.Write w ->
+    let hi = item_end w.wk in
+    upto (Writes_on w.wk) hi :: upto (Reads_on w.wk) hi
+    :: upto (Pred_reads_on w.wk) hi
+    :: List.map (fun p -> upto (Pred_reads_named p) max_int) w.wpreds
+  | Action.Pred_read p ->
+    upto (Writes_declaring p.pname) max_int :: List.map first_writes p.pkeys
+  | Action.Commit _ | Action.Abort _ -> [])
+  |> List.concat |> List.sort_uniq compare
+  |> List.filter (fun j -> Action.conflicts a x.arr.(j))
+
+let committed_index h = X.create (Hist.project_committed h)
+
+(* The transactions with an action conflicting with an earlier one of
+   [t], ascending. *)
+let successors ~every x t =
+  Array.to_list (X.at x (Actions_of t))
+  |> List.concat_map (fun i ->
+         List.map (fun j -> Action.txn x.X.arr.(j)) (conflicts_after ~every x i))
+  |> List.sort_uniq compare
+
 let edges h =
-  let h = Hist.project_committed h in
-  let arr = Array.of_list h in
-  let n = Array.length arr in
-  let acc = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let a = arr.(i) and b = arr.(j) in
-      if Action.conflicts a b then
-        acc :=
-          { src = Action.txn a;
-            dst = Action.txn b;
-            dep = classify a b;
-            src_action = a;
-            dst_action = b }
-          :: !acc
-    done
-  done;
-  List.rev !acc
+  let x = committed_index h in
+  List.concat
+    (List.mapi
+       (fun i a ->
+         List.map
+           (fun j ->
+             let b = x.arr.(j) in
+             { src = Action.txn a;
+               dst = Action.txn b;
+               dep = classify a b;
+               src_action = a;
+               dst_action = b })
+           (conflicts_after ~every:true x i))
+       (Array.to_list x.arr))
 
 let graph h =
   (* one shard: the graph serves a single query *)
@@ -61,8 +102,15 @@ let graph h =
   List.iter (fun e -> Digraph.add_edge g e.src e.dst) (edges h);
   g
 
-let cycle h = Digraph.find_cycle (graph h)
-let is_serializable h = Digraph.is_acyclic (graph h)
+(* The search asks each node it reaches for its successors, so neither
+   graph is ever stored. The reduced graph decides acyclicity; a cycle
+   is then looked for in the full one, so the witness is [graph]'s. *)
+let find_cycle ~every h =
+  Digraph.find_cycle_by ~nodes:(Hist.committed h)
+    ~succs:(successors ~every (committed_index h))
+
+let is_serializable h = find_cycle ~every:false h = None
+let cycle h = if is_serializable h then None else find_cycle ~every:true h
 let serialization_order h = Digraph.topological_sort (graph h)
 
 (* Two histories are equivalent when they have the same committed

@@ -28,7 +28,9 @@ let is_complete h = active h = []
 let actions_of t h = List.filter (fun a -> Action.txn a = t) h
 
 let project txns_to_keep h =
-  List.filter (fun a -> List.mem (Action.txn a) txns_to_keep) h
+  let keep = Hashtbl.create (List.length txns_to_keep) in
+  List.iter (fun t -> Hashtbl.replace keep t ()) txns_to_keep;
+  List.filter (fun a -> Hashtbl.mem keep (Action.txn a)) h
 
 let project_committed h = project (committed h) h
 

@@ -5,6 +5,7 @@
 
 module Action = Action
 module Parser = Parser
+module Index = Index
 module Conflict = Conflict
 module Mv = Mv
 module View = View

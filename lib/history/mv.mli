@@ -8,18 +8,9 @@
 val is_mv : Hist.t -> bool
 (** Does any action carry an explicit version annotation? *)
 
-val interval : Hist.t -> Action.txn -> (int * int) option
-(** [(first action position, termination position)] of a transaction;
-    the right end is the history length while the transaction is active. *)
-
 val version_order : Hist.t -> Action.key -> Action.version list
 (** Committed writers of a key in commit order, preceded by the initial
     version [0]. *)
-
-val read_version : Hist.t -> int -> Action.read -> Action.version
-(** The version a read at the given position observes: its explicit
-    annotation, else the reader's own prior write, else the latest version
-    committed before the read. *)
 
 val mvsg : Hist.t -> Graph.Digraph.t
 (** The multiversion serialization graph over committed transactions (node

@@ -35,6 +35,11 @@ val refine_mv : History.t -> witness list -> witness list
     be observed by a later differing read, A5A's second read must
     return T2's version. A5B (write skew) is kept as matched. *)
 
+val detect_all :
+  ?phenomena:Phenomenon.t list -> History.t -> (Phenomenon.t * witness list) list
+(** {!detect} for each phenomenon (default: all, in {!Phenomenon.all}
+    order), over one {!History.Index} of the history. *)
+
 val occurs : Phenomenon.t -> History.t -> bool
 val exhibited : History.t -> Phenomenon.t list
 val matrix : History.t -> (Phenomenon.t * bool) list

@@ -46,7 +46,7 @@
    recorded. Either way {!finalize} replays the rejected edges whose
    endpoints both committed, in arrival order, over the purged graph:
    the first re-rejection is a genuine committed-projection cycle, and
-   its absence is a full, non-windowed serializability verdict.
+   its absence is a full-history serializability verdict.
 
    Under the [Mixed] criterion the level is a per-transaction property
    ({!note_level}) and a cycle is judged per member: the certifier
@@ -69,6 +69,9 @@ module Level = Isolation.Level
 module Spec = Isolation.Spec
 module P = Phenomena.Phenomenon
 module Tids = Set.Make (Int)
+
+(* per-tid tables: no polymorphic hash or compare per lookup *)
+module Itbl = Hashtbl.Make (Int)
 
 type mode = Observe | Enforce
 type family = [ `Locking | `Mv | `Timestamp ]
@@ -125,7 +128,7 @@ type pred_state = { mutable preaders : int list; mutable pwriters : int list }
 type key_mv = {
   mutable lcw : int;
   mutable vorder_rev : int list;
-  readers : (int, int list ref) Hashtbl.t;
+  readers : int list ref Itbl.t;
   mutable pending : int list;
 }
 
@@ -143,22 +146,22 @@ type t = {
   keys_sv : (string, key_sv) Hashtbl.t;
   preds : (string, pred_state) Hashtbl.t;
   keys_mv : (string, key_mv) Hashtbl.t;
-  written : (int, string list ref) Hashtbl.t;
-  wpreds_of : (int, string list ref) Hashtbl.t;
-  preads_of : (int, string list ref) Hashtbl.t;
-  status : (int, status) Hashtbl.t;
-  doomed_tbl : (int, unit) Hashtbl.t;
+  written : string list ref Itbl.t;
+  wpreds_of : string list ref Itbl.t;
+  preads_of : string list ref Itbl.t;
+  status : status Itbl.t;
+  doomed_tbl : unit Itbl.t;
   doomed_pub : Tids.t Atomic.t;
       (* [doomed_tbl]'s key set, republished under [m] on every change:
          what a poll reads when another worker holds [m] *)
-  sealed : (int, unit) Hashtbl.t;
+  sealed : unit Itbl.t;
       (* cleared by their commit's poll, Commit/Abort not yet observed:
          no longer doomable *)
   (* Mixed criterion: each transaction's declared level, the kinds each
      inserted edge carries (an edge pair can carry several — e.g. both
      ww and rw — and a kind can be predicate-borne), and the permitted
      anomaly × victim-level attribution built by the finalize replay. *)
-  levels : (int, Level.t) Hashtbl.t;
+  levels : Level.t Itbl.t;
   ekinds : (int * int, (kind * bool) list ref) Hashtbl.t;
   matrix : (Level.t * P.t, int) Hashtbl.t;
   mutable pending_edges : (int * int * kind * bool) list;
@@ -204,14 +207,14 @@ let create ?on_edge ?on_cycle ?(batch = false) ?(prune_every = 0)
     keys_sv = Hashtbl.create 64;
     preds = Hashtbl.create 8;
     keys_mv = Hashtbl.create 64;
-    written = Hashtbl.create 64;
-    wpreds_of = Hashtbl.create 16;
-    preads_of = Hashtbl.create 16;
-    status = Hashtbl.create 64;
-    doomed_tbl = Hashtbl.create 8;
+    written = Itbl.create 64;
+    wpreds_of = Itbl.create 16;
+    preads_of = Itbl.create 16;
+    status = Itbl.create 64;
+    doomed_tbl = Itbl.create 8;
     doomed_pub = Atomic.make Tids.empty;
-    sealed = Hashtbl.create 8;
-    levels = Hashtbl.create 64;
+    sealed = Itbl.create 8;
+    levels = Itbl.create 64;
     ekinds = Hashtbl.create 256;
     matrix = Hashtbl.create 16;
     pending_edges = [];
@@ -244,16 +247,16 @@ let locked t f =
    section — in particular a doom is published before [on_cycle] wakes
    its victim. *)
 let doom t n =
-  Hashtbl.replace t.doomed_tbl n ();
+  Itbl.replace t.doomed_tbl n ();
   Atomic.set t.doomed_pub (Tids.add n (Atomic.get t.doomed_pub))
 
 let undoom t n =
-  if Hashtbl.mem t.doomed_tbl n then begin
-    Hashtbl.remove t.doomed_tbl n;
+  if Itbl.mem t.doomed_tbl n then begin
+    Itbl.remove t.doomed_tbl n;
     Atomic.set t.doomed_pub (Tids.remove n (Atomic.get t.doomed_pub))
   end
 
-let status_of t n = Option.value ~default:Active (Hashtbl.find_opt t.status n)
+let status_of t n = Option.value ~default:Active (Itbl.find_opt t.status n)
 let is_active t n = n <> 0 && status_of t n = Active
 
 (* {2 The mixed criterion}
@@ -263,10 +266,10 @@ let is_active t n = n <> 0 && status_of t n = Active
    behaviour. *)
 
 let note_level t ~tid ~level =
-  locked t (fun () -> Hashtbl.replace t.levels tid level)
+  locked t (fun () -> Itbl.replace t.levels tid level)
 
 let level_of t n =
-  Option.value ~default:Level.Serializable (Hashtbl.find_opt t.levels n)
+  Option.value ~default:Level.Serializable (Itbl.find_opt t.levels n)
 
 (* Kinds carried by an inserted edge pair, recorded only under [Mixed]:
    the same pair can carry several (a re-written key yields both ww and
@@ -405,7 +408,7 @@ let offer ?actor ?(pred = false) ~dep t src dst =
         else begin
           let doomable n =
             is_active t n
-            && not (Hashtbl.mem t.doomed_tbl n || Hashtbl.mem t.sealed n)
+            && not (Itbl.mem t.doomed_tbl n || Itbl.mem t.sealed n)
           in
           let youngest_doomable among =
             List.fold_left
@@ -475,12 +478,12 @@ let offer ?actor ?(pred = false) ~dep t src dst =
       (match t.on_cycle with Some f -> f v | None -> ())
 
 let note_in tbl tid v =
-  match Hashtbl.find_opt tbl tid with
+  match Itbl.find_opt tbl tid with
   | Some l -> if not (List.mem v !l) then l := v :: !l
-  | None -> Hashtbl.replace tbl tid (ref [ v ])
+  | None -> Itbl.replace tbl tid (ref [ v ])
 
 let noted tbl tid =
-  match Hashtbl.find_opt tbl tid with Some l -> !l | None -> []
+  match Itbl.find_opt tbl tid with Some l -> !l | None -> []
 
 (* {2 Single-version rules} *)
 
@@ -610,9 +613,9 @@ let sv_purge t tid =
       let ps = pred_state t p in
       ps.preaders <- List.filter (fun r -> r <> tid) ps.preaders)
     (noted t.preads_of tid);
-  Hashtbl.remove t.written tid;
-  Hashtbl.remove t.wpreds_of tid;
-  Hashtbl.remove t.preads_of tid
+  Itbl.remove t.written tid;
+  Itbl.remove t.wpreds_of tid;
+  Itbl.remove t.preads_of tid
 
 (* {2 Era pruning}
 
@@ -678,8 +681,8 @@ let virtual_pair t p =
   | None ->
     let vr = t.vnext and vw = t.vnext - 1 in
     t.vnext <- t.vnext - 2;
-    Hashtbl.replace t.status vr Committed;
-    Hashtbl.replace t.status vw Committed;
+    Itbl.replace t.status vr Committed;
+    Itbl.replace t.status vw Committed;
     Hashtbl.replace t.vpreds p (vr, vw);
     (vr, vw)
 
@@ -730,8 +733,8 @@ let retry_pending t =
       (List.rev t.pending_edges)
 
 let retire_sources t =
-  let referenced = Hashtbl.create 256 in
-  let mark n = Hashtbl.replace referenced n () in
+  let referenced = Itbl.create 256 in
+  let mark n = Itbl.replace referenced n () in
   Hashtbl.iter
     (fun _ (s : key_sv) ->
       List.iter
@@ -750,7 +753,7 @@ let retire_sources t =
       mark s.lcw;
       List.iter mark s.vorder_rev;
       List.iter mark s.pending;
-      Hashtbl.iter
+      Itbl.iter
         (fun v l ->
           mark v;
           List.iter mark !l)
@@ -761,15 +764,15 @@ let retire_sources t =
       mark src;
       mark dst)
     t.pending_edges;
-  Hashtbl.iter (fun tid _ -> mark tid) t.written;
-  Hashtbl.iter (fun tid _ -> mark tid) t.wpreds_of;
-  Hashtbl.iter (fun tid _ -> mark tid) t.preads_of;
+  Itbl.iter (fun tid _ -> mark tid) t.written;
+  Itbl.iter (fun tid _ -> mark tid) t.wpreds_of;
+  Itbl.iter (fun tid _ -> mark tid) t.preads_of;
   let retirable n =
     n > 0
-    && (match Hashtbl.find_opt t.status n with
+    && (match Itbl.find_opt t.status n with
        | Some Committed -> true
        | _ -> false)
-    && (not (Hashtbl.mem referenced n))
+    && (not (Itbl.mem referenced n))
     && Graph.Incremental.in_degree t.g n = 0
   in
   (* An Aborted entry only exists to deaden later offers that touch the
@@ -777,32 +780,32 @@ let retire_sources t =
      no table or held edge names it, no rule can offer such an edge
      again, so the tombstone is dead weight. *)
   let dead =
-    Hashtbl.fold
+    Itbl.fold
       (fun n st acc ->
-        if n > 0 && st = Aborted && not (Hashtbl.mem referenced n) then n :: acc
+        if n > 0 && st = Aborted && not (Itbl.mem referenced n) then n :: acc
         else acc)
       t.status []
   in
   List.iter
     (fun n ->
-      Hashtbl.remove t.status n;
-      Hashtbl.remove t.levels n)
+      Itbl.remove t.status n;
+      Itbl.remove t.levels n)
     dead;
   let roots =
-    Hashtbl.fold (fun n _ acc -> if retirable n then n :: acc else acc) t.status []
+    Itbl.fold (fun n _ acc -> if retirable n then n :: acc else acc) t.status []
   in
   (* Removing a source exposes its successors; cascade within the pass.
      Each retired node's successors are pushed on the work stack, so the
      pass costs time in proportion to the edges it removes. *)
   let rec go = function
     | [] -> ()
-    | n :: rest when not (Hashtbl.mem t.status n) -> go rest
+    | n :: rest when not (Itbl.mem t.status n) -> go rest
     | n :: rest ->
       let succs = Graph.Incremental.succs t.g n in
       Graph.Incremental.remove_node t.g n;
-      Hashtbl.remove t.status n;
+      Itbl.remove t.status n;
       undoom t n;
-      Hashtbl.remove t.levels n;
+      Itbl.remove t.levels n;
       t.pruned_nodes <- t.pruned_nodes + 1;
       go (List.fold_left (fun acc s -> if retirable s then s :: acc else acc) rest succs)
   in
@@ -839,18 +842,18 @@ let key_mv t k =
   | Some s -> s
   | None ->
     let s =
-      { lcw = 0; vorder_rev = []; readers = Hashtbl.create 4; pending = [] }
+      { lcw = 0; vorder_rev = []; readers = Itbl.create 4; pending = [] }
     in
     Hashtbl.replace t.keys_mv k s;
     s
 
 let mv_readers s v =
-  match Hashtbl.find_opt s.readers v with Some l -> !l | None -> []
+  match Itbl.find_opt s.readers v with Some l -> !l | None -> []
 
 let mv_add_reader s v tid =
-  match Hashtbl.find_opt s.readers v with
+  match Itbl.find_opt s.readers v with
   | Some l -> if not (List.mem tid !l) then l := tid :: !l
-  | None -> Hashtbl.replace s.readers v (ref [ tid ])
+  | None -> Itbl.replace s.readers v (ref [ tid ])
 
 (* The committed version directly after [v] in commit order, if any. *)
 let mv_succ s v =
@@ -915,12 +918,12 @@ let mv_purge t tid =
       let s = key_mv t k in
       s.pending <- List.filter (fun w -> w <> tid) s.pending)
     (noted t.written tid);
-  Hashtbl.remove t.written tid
+  Itbl.remove t.written tid
 
 (* {2 The feed} *)
 
 let seen t tid =
-  if not (Hashtbl.mem t.status tid) then Hashtbl.replace t.status tid Active
+  if not (Itbl.mem t.status tid) then Itbl.replace t.status tid Active
 
 let observe_locked t (a : Action.t) =
   let tid = Action.txn a in
@@ -932,17 +935,17 @@ let observe_locked t (a : Action.t) =
     | Action.Write w -> sv_write t tid w.wk w.wpreds
     | Action.Pred_read p -> sv_pred_read t tid p.pname p.pkeys
     | Action.Commit _ ->
-      Hashtbl.replace t.status tid Committed;
-      Hashtbl.remove t.sealed tid;
+      Itbl.replace t.status tid Committed;
+      Itbl.remove t.sealed tid;
       (* a committed transaction is never purged, so its per-txn tables
          are dead weight from here on *)
-      Hashtbl.remove t.written tid;
-      Hashtbl.remove t.wpreds_of tid;
-      Hashtbl.remove t.preads_of tid;
+      Itbl.remove t.written tid;
+      Itbl.remove t.wpreds_of tid;
+      Itbl.remove t.preads_of tid;
       maybe_prune t
     | Action.Abort _ ->
-      Hashtbl.replace t.status tid Aborted;
-      Hashtbl.remove t.sealed tid;
+      Itbl.replace t.status tid Aborted;
+      Itbl.remove t.sealed tid;
       undoom t tid;
       sv_purge t tid;
       Graph.Incremental.remove_node t.g tid)
@@ -952,17 +955,17 @@ let observe_locked t (a : Action.t) =
     | Action.Write w -> mv_write t tid w.wk
     | Action.Pred_read _ -> () (* the MVSG has no predicate vocabulary *)
     | Action.Commit _ ->
-      Hashtbl.replace t.status tid Committed;
-      Hashtbl.remove t.sealed tid;
+      Itbl.replace t.status tid Committed;
+      Itbl.remove t.sealed tid;
       mv_commit t tid;
       (* committed writers are never purged, so the write-set note is
          dead weight from here on (and would pin the node as referenced
          forever, defeating retirement) *)
-      Hashtbl.remove t.written tid;
+      Itbl.remove t.written tid;
       maybe_prune t
     | Action.Abort _ ->
-      Hashtbl.replace t.status tid Aborted;
-      Hashtbl.remove t.sealed tid;
+      Itbl.replace t.status tid Aborted;
+      Itbl.remove t.sealed tid;
       undoom t tid;
       mv_purge t tid;
       Graph.Incremental.remove_node t.g tid)
@@ -1015,7 +1018,7 @@ let mv_trim t ~buried =
               s.vorder_rev <- List.filter (fun x -> x <> w) s.vorder_rev;
               t.pruned_eras <- t.pruned_eras + 1
             end;
-            Hashtbl.remove s.readers w)
+            Itbl.remove s.readers w)
         buried)
 
 (* The doom poll. A waiting poll (the commit check) takes [m], drains
@@ -1030,12 +1033,12 @@ let mv_trim t ~buried =
 let doomed ?(wait = false) t tid =
   let exact () =
     if t.batch then drain_locked t;
-    Hashtbl.mem t.doomed_tbl tid
+    Itbl.mem t.doomed_tbl tid
   in
   if wait then
     locked t (fun () ->
         let d = exact () in
-        if not d && is_active t tid then Hashtbl.replace t.sealed tid ();
+        if not d && is_active t tid then Itbl.replace t.sealed tid ();
         d)
   else if Mutex.try_lock t.m then
     Fun.protect ~finally:(fun () -> Mutex.unlock t.m) exact
@@ -1114,7 +1117,7 @@ let finalize t =
   locked t (fun () ->
       if t.batch then drain_locked t;
       let stragglers =
-        Hashtbl.fold
+        Itbl.fold
           (fun n st acc -> if st = Active then n :: acc else acc)
           t.status []
       in
@@ -1122,7 +1125,7 @@ let finalize t =
       let edges = Graph.Incremental.edge_count t.g in
       List.iter
         (fun n ->
-          Hashtbl.replace t.status n Aborted;
+          Itbl.replace t.status n Aborted;
           (match t.family with
           | `Locking | `Timestamp -> sv_purge t n
           | `Mv -> mv_purge t n);

@@ -14,7 +14,7 @@
     at a later operation — at the latest its commit, where the poll
     waits for the graph to catch up — so anomalies are certified away
     rather than observed. In [Observe] mode cycles are only recorded.
-    {!finalize} turns either run into a full, non-windowed verdict on
+    {!finalize} turns either run into a full-history verdict on
     the committed projection by purging unfinished transactions and
     replaying the rejected edges whose endpoints committed.
 

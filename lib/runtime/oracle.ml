@@ -3,7 +3,6 @@
 
 module P = Phenomena.Phenomenon
 module Detect = Phenomena.Detect
-module A = History.Action
 
 let max_display_witnesses = 5
 
@@ -27,34 +26,28 @@ type t = {
   cycle : History.Action.txn list option;
   phenomena : (P.t * int) list;
   witnesses : Detect.witness list;
-  window : int option;
 }
 
-let check_full ?(phenomena = P.all) h =
-  let well_formed = History.well_formed h in
+(* The phenomena with at least one witness. {!Detect.detect_all} indexes
+   the history once and applies the version-aware refinement itself on
+   multiversion histories, so oracle and simulator share one detector
+   library ({!Phenomena.Detect.refine_mv}). *)
+let hits ~phenomena h =
+  List.filter (fun (_, ws) -> ws <> []) (Detect.detect_all ~phenomena h)
+
+let verdict h hits =
   let multiversion = History.Mv.is_mv h in
-  let serializable, cycle =
-    if multiversion then
-      (History.Mv.is_one_copy_serializable h, History.Mv.mvsg_cycle h)
-    else (History.Conflict.is_serializable h, History.Conflict.cycle h)
-  in
-  (* {!Detect.detect} applies the version-aware refinement itself on
-     multiversion histories, so oracle and simulator share one detector
-     library ({!Phenomena.Detect.refine_mv}). *)
-  let hits =
-    List.filter_map
-      (fun p ->
-        match Detect.detect p h with [] -> None | ws -> Some (p, ws))
-      phenomena
+  let cycle =
+    if multiversion then History.Mv.mvsg_cycle h else History.Conflict.cycle h
   in
   {
     actions = List.length h;
     txns = List.length (History.txns h);
     committed = List.length (History.committed h);
     aborted = List.length (History.aborted h);
-    well_formed;
+    well_formed = History.well_formed h;
     multiversion;
-    serializable;
+    serializable = cycle = None;
     cycle;
     phenomena = List.map (fun (p, ws) -> (p, List.length ws)) hits;
     witnesses =
@@ -62,108 +55,9 @@ let check_full ?(phenomena = P.all) h =
       (let anoms, pats = List.partition (fun (p, _) -> is_anomaly p) hits in
        let all = List.concat_map snd (anoms @ pats) in
        List.filteri (fun i _ -> i < max_display_witnesses) all);
-    window = None;
   }
 
-(* {2 Windowed checking}
-
-   The detectors are polynomial in history size, so on long stress runs
-   the post-run check dominates wall time. A windowed check slides a
-   window of [n] transactions (in completion order, never-terminated
-   ones last) with 50% overlap and runs the detectors on each projected
-   subhistory, merging the hits — sound (witnesses project intact into
-   some window) and near-linear.
-
-   Serializability, however, is *never* windowed: a dependency cycle
-   can span transactions that no window holds together, so the old
-   per-window conjunction was a false-negative trap. The full-history
-   verdict instead comes from an incremental-graph replay
-   ({!Certifier.replay}) whose cost is itself near-linear — so the
-   windowed oracle is now a sound detector *and* a sound prover; the
-   [window] field only records that phenomenon counts are per-window
-   lower bounds. *)
-
-let completion_order h =
-  let terminated =
-    List.filter_map
-      (function (A.Commit t | A.Abort t) -> Some t | _ -> None)
-      h
-  in
-  terminated @ History.active h
-
-let merge_verdicts full verdicts =
-  let worst_wf =
-    List.fold_left
-      (fun acc v -> if acc = Ok () then v.well_formed else acc)
-      (Ok ()) verdicts
-  in
-  (* The full, non-windowed serializability verdict: replay the whole
-     history through the incremental dependency graph. Cycles crossing
-     window boundaries are exactly what the per-window checks miss. *)
-  let replay = Certifier.replay full in
-  let serializable = replay.Certifier.serializable in
-  let cycle = replay.Certifier.witness in
-  (* Overlapping windows would double-count a witness pair; the merged
-     count per phenomenon is the max over windows — a lower bound on the
-     whole history's count. *)
-  let phenomena =
-    List.fold_left
-      (fun acc v ->
-        List.fold_left
-          (fun acc (p, n) ->
-            let cur = try List.assoc p acc with Not_found -> 0 in
-            (p, max cur n) :: List.remove_assoc p acc)
-          acc v.phenomena)
-      [] verdicts
-    |> List.sort compare
-  in
-  let witnesses =
-    let anoms, pats =
-      List.partition
-        (fun (w : Detect.witness) -> is_anomaly w.phenomenon)
-        (List.concat_map (fun v -> v.witnesses) verdicts)
-    in
-    List.filteri (fun i _ -> i < max_display_witnesses) (anoms @ pats)
-  in
-  {
-    actions = List.length full;
-    txns = List.length (History.txns full);
-    committed = List.length (History.committed full);
-    aborted = List.length (History.aborted full);
-    well_formed = worst_wf;
-    multiversion = List.exists (fun v -> v.multiversion) verdicts;
-    serializable;
-    cycle;
-    phenomena;
-    witnesses;
-    window = None;
-  }
-
-let check ?phenomena ?window h =
-  match window with
-  | None -> check_full ?phenomena h
-  | Some n ->
-    let n = max 2 n in
-    let order = completion_order h in
-    if List.length order <= n then
-      { (check_full ?phenomena h) with window = Some n }
-    else begin
-      let arr = Array.of_list order in
-      let total = Array.length arr in
-      let stride = max 1 (n / 2) in
-      let rec starts s acc =
-        if s + n >= total then List.rev ((total - n) :: acc)
-        else starts (s + stride) (s :: acc)
-      in
-      let verdicts =
-        List.map
-          (fun s ->
-            let tids = Array.to_list (Array.sub arr s n) in
-            check_full ?phenomena (History.project tids h))
-          (starts 0 [])
-      in
-      { (merge_verdicts h verdicts) with window = Some n }
-    end
+let check ?(phenomena = P.all) h = verdict h (hits ~phenomena h)
 
 let anomalies t = List.filter (fun (p, _) -> is_anomaly p) t.phenomena
 let patterns t = List.filter (fun (p, _) -> not (is_anomaly p)) t.phenomena
@@ -198,10 +92,14 @@ type mixed = {
   m_clean : bool;
 }
 
-let check_mixed ?(phenomena = P.all) ~levels h =
-  let committed = History.committed h in
-  let level_of tid =
-    Option.value ~default:Level.Serializable (List.assoc_opt tid levels)
+let mixed ~levels h hits =
+  let committed = Hashtbl.create 64 in
+  List.iter (fun t -> Hashtbl.replace committed t ()) (History.committed h);
+  (* reversed, so a tid's first declared level is the one that stays *)
+  let level = Hashtbl.create 64 in
+  List.iter (fun (t, l) -> Hashtbl.replace level t l) (List.rev levels);
+  let level_of t =
+    Option.value ~default:Level.Serializable (Hashtbl.find_opt level t)
   in
   let bump tbl key =
     Hashtbl.replace tbl key
@@ -209,19 +107,19 @@ let check_mixed ?(phenomena = P.all) ~levels h =
   in
   let permitted = Hashtbl.create 16 and violated = Hashtbl.create 16 in
   List.iter
-    (fun p ->
+    (fun (p, ws) ->
       List.iter
         (fun (w : Detect.witness) ->
           List.iter
             (fun v ->
-              if List.mem v committed then
+              if Hashtbl.mem committed v then
                 let l = level_of v in
                 if Isolation.Spec.table4 l p = Isolation.Spec.Not_possible
                 then bump violated (l, p)
                 else bump permitted (l, p))
             (Detect.victims w))
-        (Detect.detect p h))
-    phenomena;
+        ws)
+    hits;
   let cells tbl =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort (fun ((l1, p1), _) ((l2, p2), _) ->
@@ -242,6 +140,10 @@ let check_mixed ?(phenomena = P.all) ~levels h =
       && m_violations = []
       && cert.Certifier.mixed_ok;
   }
+
+let check_run ?(phenomena = P.all) ?levels h =
+  let hits = hits ~phenomena h in
+  (verdict h hits, Option.map (fun levels -> mixed ~levels h hits) levels)
 
 let pp_mixed ppf m =
   let fmt_cells cs =
@@ -280,13 +182,6 @@ let mixed_to_json m =
 let pp ppf t =
   Fmt.pf ppf "@[<v>oracle: %d actions, %d txns (%d committed, %d aborted)@,"
     t.actions t.txns t.committed t.aborted;
-  (match t.window with
-  | Some n ->
-    Fmt.pf ppf
-      "windowed: %d-txn sliding windows for the detectors; serializability \
-       checked on the full history (incremental replay)@,"
-      n
-  | None -> ());
   (match t.well_formed with
   | Ok () -> Fmt.pf ppf "well-formed: yes@,"
   | Error m -> Fmt.pf ppf "well-formed: NO (%s)@," m);
@@ -317,16 +212,11 @@ let to_json t =
     String.concat ","
       (List.map (fun (p, n) -> Printf.sprintf "%S:%d" (P.name p) n) ps)
   in
-  let windowed =
-    match t.window with
-    | Some n -> Printf.sprintf "\"windowed\":%d," n
-    | None -> ""
-  in
   Printf.sprintf
-    "{%s\"actions\":%d,\"txns\":%d,\"committed\":%d,\"aborted\":%d,\
+    "{\"actions\":%d,\"txns\":%d,\"committed\":%d,\"aborted\":%d,\
      \"well_formed\":%b,\"multiversion\":%b,\"serializable\":%b,\
      \"patterns\":{%s},\"anomalies\":{%s},\"clean\":%b,\"pattern_free\":%b}"
-    windowed t.actions t.txns t.committed t.aborted
+    t.actions t.txns t.committed t.aborted
     (t.well_formed = Ok ())
     t.multiversion t.serializable
     (obj (patterns t))

@@ -39,27 +39,14 @@ type t = {
           multiversion traces) *)
   witnesses : Phenomena.Detect.witness list;
       (** a few, anomalies first, for display *)
-  window : int option;
-      (** [Some n] — the detectors ran over sliding [n]-transaction
-          windows: anomalies are sound (each reported one is real) and
-          counts are per-window lower bounds. Serializability is {e not}
-          windowed: it is always decided on the full history by an
-          incremental-graph replay ({!Certifier.replay}), so a
-          dependency cycle spanning windows is still caught. *)
 }
 
-val check :
-  ?phenomena:Phenomena.Phenomenon.t list -> ?window:int -> History.t -> t
-(** [phenomena] restricts the detectors (they are polynomial in history
-    size; restrict for very large traces). Default: all.
-
-    [window] slides a window of [max 2 n] transactions — completion
-    order, 50% overlap — over the history and merges the per-window
-    detector verdicts (phenomenon counts merge by max, so overlaps never
-    double-count a witness pair); the serializability verdict and its
-    cycle witness still come from a full-history incremental replay.
-    Turns the post-run detectors from polynomial in the whole run into
-    polynomial in the window. *)
+val check : ?phenomena:Phenomena.Phenomenon.t list -> History.t -> t
+(** [phenomena] restricts the detectors. Default: all. The whole history
+    is judged: the detectors share one index of it
+    ({!Phenomena.Detect.detect_all}) and the dependency graph pairs only
+    actions on the same item or predicate, so the check costs the
+    history plus the witnesses and edges it finds. *)
 
 val anomalies : t -> (Phenomena.Phenomenon.t * int) list
 (** The phenomena that are anomalies proper (A1–A3, P4, P4C, A5A, A5B):
@@ -108,12 +95,14 @@ type mixed = {
           every transaction got exactly the protection it declared *)
 }
 
-val check_mixed :
+val check_run :
   ?phenomena:Phenomena.Phenomenon.t list ->
-  levels:(History.Action.txn * Isolation.Level.t) list ->
+  ?levels:(History.Action.txn * Isolation.Level.t) list ->
   History.t ->
-  mixed
-(** Victims missing from [levels] are judged as SERIALIZABLE (the
+  t * mixed option
+(** {!check}, and with [levels] also the mixed-level verdict, from one
+    detector pass over the history: both read the same witnesses.
+    Victims missing from [levels] are judged as SERIALIZABLE (the
     conservative default, matching {!Certifier.note_level}); victims
     that never committed are skipped. *)
 

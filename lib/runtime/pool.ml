@@ -114,7 +114,6 @@ type config = {
   coarse : bool;
   think_us : float;
   oracle_phenomena : Phenomena.Phenomenon.t list;
-  oracle_window : int option;
   seed : int;
   trace : Trace.Sink.t option;
   fault : Fault.Plan.t option;   (* seeded fault plan; None = no injection *)
@@ -144,7 +143,7 @@ let default_stripes = 16
 let config ?(workers = 4) ?(initial = []) ?(predicates = []) ?family
     ?(first_updater_wins = false) ?(stripes = default_stripes) ?(coarse = false)
     ?(think_us = 0.)
-    ?(oracle_phenomena = Phenomena.Phenomenon.all) ?oracle_window ?(seed = 1)
+    ?(oracle_phenomena = Phenomena.Phenomenon.all) ?oracle_window:_ ?(seed = 1)
     ?trace ?fault ?deadline_us ?watchdog_us ?(certify = false)
     ?(criterion = Certifier.Serializability) ?(levels = [])
     ?(certify_batch = true) ?(prune_every = 4096) ?wal_dir ?wal_segment_bytes
@@ -160,7 +159,6 @@ let config ?(workers = 4) ?(initial = []) ?(predicates = []) ?family
     coarse;
     think_us = Float.max 0. think_us;
     oracle_phenomena;
-    oracle_window;
     seed;
     trace;
     fault;
@@ -567,31 +565,28 @@ let collect_result (cfg : config) sh =
     | Some s -> (Trace.Sink.events s, Trace.Sink.dropped s)
   in
   let journal = Option.fold ~none:[] ~some:Recorder.entries sh.recorder in
+  (* A run without history ([keep_history = false]) recorded no engine
+     trace and no journal, so there is nothing for the oracle to check:
+     the online certifier is the verdict. The per-victim verdict takes
+     each transaction's declared level from the recorder journal. *)
+  let oracle, mixed =
+    if not cfg.keep_history then (None, None)
+    else
+      let levels = List.map (fun (e : Recorder.entry) -> (e.tid, e.level)) in
+      let v, m =
+        Oracle.check_run ~phenomena:cfg.oracle_phenomena
+          ?levels:(if cfg.criterion = Certifier.Mixed then Some (levels journal) else None)
+          history
+      in
+      (Some v, m)
+  in
   {
     history;
     final = Engine.final_state sh.engine;
     metrics = Metrics.snapshot sh.metrics;
-    (* A run without history ([keep_history = false]) recorded no engine
-       trace and no journal, so there is nothing for the oracle to check:
-       the online certifier is the verdict. *)
     journal;
-    oracle =
-      (if cfg.keep_history then
-         Some
-           (Oracle.check ~phenomena:cfg.oracle_phenomena
-              ?window:cfg.oracle_window history)
-       else None);
-    mixed =
-      (* The per-victim verdict needs the full history plus each
-         transaction's declared level — the recorder journal carries
-         exactly that mapping. *)
-      (if cfg.criterion = Certifier.Mixed && cfg.keep_history then
-         let levels =
-           List.map (fun (e : Recorder.entry) -> (e.tid, e.level)) journal
-         in
-         Some
-           (Oracle.check_mixed ~phenomena:cfg.oracle_phenomena ~levels history)
-       else None);
+    oracle;
+    mixed;
     certifier = Option.map Certifier.finalize sh.certifier;
     lock_stats = Engine.lock_stats sh.engine;
     lock_stripes = sh.nstripes;

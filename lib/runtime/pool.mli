@@ -94,12 +94,6 @@ type config = {
           think time is what makes the stress contend. *)
   oracle_phenomena : Phenomena.Phenomenon.t list;
       (** detectors the post-run oracle applies *)
-  oracle_window : int option;
-      (** [Some n] runs the post-run oracle over sliding [n]-transaction
-          windows instead of the whole history (see {!Oracle.check}):
-          anomaly reports stay sound, whole-run serializability becomes
-          "no cycle within a window". For long stress runs where the
-          polynomial full check dominates wall time. *)
   seed : int;
       (** seeds each worker's think times and restart backoff jitter *)
   trace : Trace.Sink.t option;
@@ -222,8 +216,9 @@ val config :
   ?stop:bool Atomic.t ->
   unit ->
   config
-(** [spill_dir] is accepted and ignored: the attempt journal lives in
-    memory, and a run without history keeps none. *)
+(** [oracle_window] and [spill_dir] are accepted and ignored: the
+    post-run oracle always judges the whole history, the attempt journal
+    lives in memory, and a run without history keeps none. *)
 
 (** {2 Live observation}
 

@@ -11,6 +11,7 @@ let () =
       ("view", Test_view.suite);
       ("recoverability", Test_recoverability.suite);
       ("phenomena", Test_phenomena.suite);
+      ("equivalence", Test_equivalence.suite);
       ("implications", Test_implications.suite);
       ("isolation", Test_isolation.suite);
       ("btree", Test_btree.suite);

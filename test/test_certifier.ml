@@ -7,9 +7,9 @@
    serializability class on every recorded history, at every isolation
    level, across seeds; (2) an enforcing run's committed projection is
    serializable at any level — anomalies are certified away, not
-   observed. A regression test pins the windowed-oracle fix: a
-   dependency cycle spanning more transactions than a window holds must
-   still be caught. *)
+   observed. A regression test pins the oracle's verdict on a
+   three-transaction dependency cycle that no pair of its members
+   closes. *)
 
 module Pool = Runtime.Pool
 module Oracle = Runtime.Oracle
@@ -179,26 +179,59 @@ let test_doom_poll_contract () =
     (Some true) (Atomic.get commit_answer);
   Alcotest.(check bool) "and publishes it" true (Cert.doomed ~wait:false c 4)
 
-(* {2 The cross-window regression}
+(* {2 The commit-poll seal}
 
-   Before serializability was decided by full-history replay, the
-   windowed oracle took the conjunction of per-window verdicts — and a
-   cycle spanning more transactions than one window holds slipped
-   through. The triangle above with window 2 is exactly that trap. *)
+   The pool's commit step follows its waiting doom poll with no poll
+   after it. A cycle that closes between the two must not doom the
+   cleared transaction, or it would commit doomed: it dooms another
+   member or counts as a miss. Here T1 (the youngest active member, so
+   the natural victim) is cleared, then T3's commit installs its version
+   of x after T2's, closing T2 -> T3 -> T1 -> T2 with no actor to doom. *)
 
-let test_windowed_oracle_catches_spanning_cycle () =
+let test_commit_poll_seal () =
+  let c = Cert.create ~mode:Cert.Enforce ~family:`Mv () in
+  let feed = List.iteri (fun i a -> Cert.observe c i a) in
+  feed
+    [
+      A.write ~ver:3 3 "x";
+      A.read ~ver:0 3 "z";
+      A.read ~ver:0 1 "w";
+      A.write ~ver:1 1 "z" (* rw T3 -> T1: T3 read z0 *);
+      A.write ~ver:2 2 "x";
+      A.write ~ver:2 2 "w" (* rw T1 -> T2: T1 read w0 *);
+      A.commit 2;
+    ];
+  Alcotest.(check bool) "T1's commit poll clears it" false
+    (Cert.doomed ~wait:true c 1);
+  Alcotest.(check bool) "T3's commit poll clears it" false
+    (Cert.doomed ~wait:true c 3);
+  Alcotest.(check int) "no cycle yet" 0 (Cert.stats c).Cert.s_cycles;
+  (* T3's commit orders x2 before x3: ww T2 -> T3 closes the cycle *)
+  feed [ A.commit 3 ];
+  let s = Cert.stats c in
+  Alcotest.(check int) "the commit closes one cycle" 1 s.Cert.s_cycles;
+  Alcotest.(check bool) "the cleared T1 is not doomed" false
+    (Cert.doomed ~wait:false c 1);
+  Alcotest.(check bool) "another member is doomed or a miss is counted" true
+    (s.Cert.s_misses + s.Cert.s_dooms >= 1);
+  feed [ A.commit 1 ];
+  let summary = Cert.finalize c in
+  Alcotest.(check bool) "the committed projection is not serializable" false
+    summary.Cert.serializable
+
+(* {2 The three-transaction cycle}
+
+   No two of the triangle's members close a cycle, so a judge that
+   looked at fewer than all three at once would pass it; the oracle must
+   find it on the whole history. *)
+
+let test_oracle_catches_triangle () =
   let hist = h "r1[x=0] w2[x=1] r2[y=0] w3[y=1] r3[z=0] w1[z=1] c1 c2 c3" in
   let full = Oracle.check hist in
   Alcotest.(check bool) "full check: not serializable" false
     full.Oracle.serializable;
-  (* Window 2 over 3 transactions: no window contains the whole cycle,
-     yet the verdict must still fall. *)
-  let windowed = Oracle.check ~window:2 hist in
-  Alcotest.(check (option int)) "windowed" (Some 2) windowed.Oracle.window;
-  Alcotest.(check bool) "windowed check: not serializable" false
-    windowed.Oracle.serializable;
-  Alcotest.(check bool) "cycle witness survives windowing" true
-    (windowed.Oracle.cycle <> None)
+  Alcotest.(check (option (list int))) "cycle witness" (Some [ 1; 2; 3 ])
+    full.Oracle.cycle
 
 (* {2 Properties over real pool runs} *)
 
@@ -359,8 +392,8 @@ let suite =
       test_observe_mode_never_dooms;
     Alcotest.test_case "doom poll: only the commit poll waits" `Quick
       test_doom_poll_contract;
-    Alcotest.test_case "windowed oracle catches spanning cycle" `Quick
-      test_windowed_oracle_catches_spanning_cycle;
+    Alcotest.test_case "oracle catches the three-txn cycle" `Quick
+      test_oracle_catches_triangle;
     Alcotest.test_case "replay agrees with the oracle (20 seeds x levels)"
       `Slow test_replay_agrees_with_oracle;
     Alcotest.test_case "enforced runs certify clean (20 seeds)" `Slow
@@ -369,4 +402,6 @@ let suite =
       test_serializable_certify_is_noop;
     Alcotest.test_case "2 workers never commit a doomed tid (20 seeds)" `Slow
       test_two_worker_polls_never_commit_a_doom;
+    Alcotest.test_case "a cleared commit poll seals its tid" `Quick
+      test_commit_poll_seal;
   ]

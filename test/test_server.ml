@@ -25,7 +25,7 @@ let with_server ?(workers = 2) ?(accounts = 16) ?(certify = false)
   let pool =
     Pool.config ~workers
       ~initial:(Generators.bank_accounts accounts)
-      ~seed ~certify ~oracle_window:32 ()
+      ~seed ~certify ()
   in
   let cfg =
     Frontend.config ~port:0
