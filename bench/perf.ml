@@ -16,7 +16,7 @@
 open Bechamel
 
 module L = Isolation.Level
-module Executor = Core.Executor
+module Executor = Runtime.Executor
 module Generators = Workload.Generators
 
 let ols =

@@ -9,7 +9,7 @@ module Spec = Isolation.Spec
 module Lattice = Isolation.Lattice
 module Classify = Sim.Classify
 module Report = Sim.Report
-module Executor = Core.Executor
+module Executor = Runtime.Executor
 module PH = Workload.Paper_histories
 
 let header title =

@@ -11,7 +11,7 @@ open Cmdliner
 
 module L = Isolation.Level
 module P = Phenomena.Phenomenon
-module Executor = Core.Executor
+module Executor = Runtime.Executor
 
 (* {2 Arguments} *)
 
@@ -204,6 +204,18 @@ let classify_cmd =
 
 (* {2 scenario} *)
 
+let schedule_of_digits digits =
+  List.init (String.length digits) (fun i -> Char.code digits.[i] - Char.code '0')
+
+let print_run r =
+  Format.printf "history:  %s@." (History.to_string r.Executor.history);
+  Format.printf "final:    %s@."
+    (String.concat ", "
+       (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) r.Executor.final));
+  List.iter
+    (fun (t, st) -> Format.printf "T%d %a@." t Executor.pp_status st)
+    r.Executor.statuses
+
 let run_scenario id level schedule_opt =
   match
     List.find_opt
@@ -224,9 +236,7 @@ let run_scenario id level schedule_opt =
     in
     let schedule =
       match schedule_opt with
-      | Some digits ->
-        List.init (String.length digits) (fun i ->
-            Char.code digits.[i] - Char.code '0')
+      | Some digits -> schedule_of_digits digits
       | None ->
         (* Find an exhibiting schedule if one exists, else run serially. *)
         let outcome = Sim.Classify.run_scenario level s in
@@ -242,13 +252,7 @@ let run_scenario id level schedule_opt =
     let r = Executor.run cfg s.programs ~schedule in
     Format.printf "schedule: %s@."
       (String.concat "" (List.map string_of_int schedule));
-    Format.printf "history:  %s@." (History.to_string r.Executor.history);
-    Format.printf "final:    %s@."
-      (String.concat ", "
-         (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) r.Executor.final));
-    List.iter
-      (fun (t, st) -> Format.printf "T%d %a@." t Executor.pp_status st)
-      r.Executor.statuses;
+    print_run r;
     Format.printf "anomaly exhibited: %b@." (s.exhibits r)
 
 let scenario_cmd =
@@ -294,9 +298,7 @@ let run_script level init_text schedule_opt script_text =
   in
   let schedule =
     match schedule_opt with
-    | Some digits ->
-      List.init (String.length digits) (fun i ->
-          Char.code digits.[i] - Char.code '0')
+    | Some digits -> schedule_of_digits digits
     | None ->
       (* Default: a round-robin interleaving, one operation per turn. *)
       let sizes = List.map (fun p -> Core.Program.length p + 1) programs in
@@ -308,13 +310,7 @@ let run_script level init_text schedule_opt script_text =
   in
   let r = Executor.run cfg programs ~schedule in
   Format.printf "level:    %s@." (L.name level);
-  Format.printf "history:  %s@." (History.to_string r.Executor.history);
-  Format.printf "final:    %s@."
-    (String.concat ", "
-       (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) r.Executor.final));
-  List.iter
-    (fun (t, st) -> Format.printf "T%d %a@." t Executor.pp_status st)
-    r.Executor.statuses;
+  print_run r;
   Format.printf "blocked attempts: %d   deadlocks: %d@."
     r.Executor.blocked_attempts r.Executor.deadlock_aborts;
   (match Phenomena.Detect.exhibited r.Executor.history with
@@ -865,8 +861,8 @@ let stress_cmd =
       & info [ "n"; "txns" ] ~docv:"N"
           ~doc:
             "Transactions to run (ignored with --duration). The post-run \
-             oracle is polynomial in history size; thousands of \
-             transactions make it slow.")
+             oracle judges the whole history in time that grows with its \
+             length plus the anomalies it reports.")
   in
   let hot_arg =
     Arg.(

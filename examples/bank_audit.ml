@@ -7,7 +7,7 @@
 
 module P = Core.Program
 module L = Isolation.Level
-module Executor = Core.Executor
+module Executor = Runtime.Executor
 
 let transfer =
   P.make ~name:"transfer"

@@ -8,7 +8,7 @@
 
 module P = Core.Program
 module L = Isolation.Level
-module Executor = Core.Executor
+module Executor = Runtime.Executor
 
 (* 1 = on call, 0 = off. A doctor signs off only if the other is on. *)
 let sign_off ~self ~other =

@@ -8,7 +8,7 @@
 
 module P = Core.Program
 module L = Isolation.Level
-module Executor = Core.Executor
+module Executor = Runtime.Executor
 module Predicate = Storage.Predicate
 
 let tasks = Predicate.key_prefix ~name:"Tasks" "task_"

@@ -16,7 +16,7 @@
 module P = Core.Program
 module L = Isolation.Level
 module Spec = Isolation.Spec
-module Executor = Core.Executor
+module Executor = Runtime.Executor
 module Generators = Workload.Generators
 
 let keys = [ "x"; "y"; "z" ]

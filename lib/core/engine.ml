@@ -86,14 +86,6 @@ let create ~initial ~predicates ?(stripes = 1) ?(audit = true)
       (To_engine.create ~initial ~predicates ?wal_dir ?wal_segment_bytes
          ?checkpoint_every ?retain_trace ())
 
-let create_for_levels ~initial ~predicates ?stripes ?audit ?first_updater_wins
-    ?next_key_locking ?update_locks ?wal_dir ?wal_segment_bytes
-    ?checkpoint_every ?retain_trace ~levels () =
-  create ~initial ~predicates ?stripes ?audit ?first_updater_wins
-    ?next_key_locking ?update_locks ?wal_dir ?wal_segment_bytes
-    ?checkpoint_every ?retain_trace
-    ~family:(family_of_levels levels) ()
-
 let mv_level = function
   | Level.Snapshot -> Mv_engine.Snapshot_isolation
   | Level.Oracle_read_consistency -> Mv_engine.Read_consistency
@@ -186,10 +178,6 @@ let footprint t tid op =
   match t with
   | Locking e -> Lock_engine.footprint e tid op
   | Mv _ | Timestamp _ -> All
-
-let stripes = function
-  | Locking e -> Lock_engine.stripes e
-  | Mv _ | Timestamp _ -> 1
 
 (* Externally-initiated aborts carry the reasons the runtime can decide
    on its own: deadlock victim (the default), an injected fault, a blown

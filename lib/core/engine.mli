@@ -74,24 +74,6 @@ val create :
     engines log the single-version record set, the multiversion engine
     logs versioned records (Vinstall/Vcommit/Watermark/Vcheckpoint). *)
 
-val create_for_levels :
-  initial:(key * value) list ->
-  predicates:Storage.Predicate.t list ->
-  ?stripes:int ->
-  ?audit:bool ->
-  ?first_updater_wins:bool ->
-  ?next_key_locking:bool ->
-  ?update_locks:bool ->
-  ?wal_dir:string ->
-  ?wal_segment_bytes:int ->
-  ?checkpoint_every:int ->
-  ?retain_trace:bool ->
-  levels:Level.t list ->
-  unit ->
-  t
-(** Like {!create}, inferring the family from the levels.
-    @raise Invalid_argument if [levels] mixes the two families. *)
-
 (** The shards a step of an operation touches — the runtime's stripe
     planner acquires exactly these stripes before stepping. [All] is the
     conservative answer (and the only one non-locking engines and
@@ -101,9 +83,6 @@ type footprint = Lock_engine.footprint = All | Keys of { keys : key list; pred :
 val footprint : t -> txn -> Program.op -> footprint
 (** Computed on the owning worker from owner-local state; see
     {!Lock_engine.footprint}. *)
-
-val stripes : t -> int
-(** The locking engine's shard count; [1] for other families. *)
 
 val begin_txn : ?read_only:bool -> t -> txn -> level:Level.t -> unit
 (** [read_only] transactions read the committed snapshot as of begin

@@ -620,7 +620,6 @@ let step t tid (op : Program.op) =
     | Program.Commit -> do_commit t st
     | Program.Abort -> do_abort t st User_abort)
 
-let stripes t = Lock_table.stripes t.locks
 let final_state t = Store.to_list t.store
 let wal t = t.wal
 

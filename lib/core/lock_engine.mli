@@ -89,9 +89,6 @@ val trace_len : t -> int
     the runtime's tracer uses to tag each step with the history
     positions it produced. *)
 
-val stripes : t -> int
-(** The shard count this engine was created with. *)
-
 val final_state : t -> (key * value) list
 val wal : t -> Storage.Wal.t
 

@@ -180,7 +180,7 @@ type t = {
 }
 
 let create () =
-  { nodes = Tbl.create 256; m = Mutex.create (); next = 0; epoch = 0; edges = 0 }
+  { nodes = Tbl.create 16; m = Mutex.create (); next = 0; epoch = 0; edges = 0 }
 
 (* Lock without a closure: the hot operations run through here. *)
 let locked t f a b =

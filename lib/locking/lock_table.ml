@@ -107,7 +107,6 @@ let create ?(stripes = 1) ?(audit = true) () =
     hook = None;
   }
 
-let stripes t = t.stripes
 let bucket_of_key t k = Storage.Shard.of_key ~shards:t.stripes k
 
 (* Bucket indices [0 .. stripes - 1] are the item buckets; index

@@ -47,15 +47,13 @@ val create : ?stripes:int -> ?audit:bool -> unit -> t
     whose single shared list would otherwise serialize striped callers;
     counters and hooks still fire. *)
 
-val stripes : t -> int
-
 val bucket_of_key : t -> key -> int
 (** The item bucket a key's locks live in — {!Storage.Shard.of_key} over
     this table's stripe count. *)
 
 val pred_bucket : t -> int
-(** The index naming the predicate bucket in release scopes: [stripes t],
-    one past the last item bucket — mirroring the runtime's convention
+(** The index naming the predicate bucket in release scopes: the item
+    bucket count, one past the last item bucket — mirroring the runtime's convention
     that the predicate stripe is the last, highest-ordered stripe. *)
 
 (** The audit log: every grant and release, in order. *)

@@ -1,14 +1,23 @@
-(** Deterministic scheduler over the engine.
+(** Deterministic step driver over the pool's step interface.
 
-    A schedule is a sequence of transaction ids; each entry is one attempt
-    at that transaction's next operation. Blocked attempts do not consume
-    the operation; waits-for cycles abort the youngest transaction in the
-    cycle. After the explicit schedule, a round-robin drain completes
-    every transaction, so every schedule yields a complete history. The
-    same inputs always produce the same history. *)
+    A schedule is a sequence of transaction ids; each entry is one
+    {!Pool.exec_step} of that transaction's next operation, on the calling
+    thread, so a scripted interleaving takes the same path (stripes,
+    incremental waits-for graph, deadlock break) as a batch worker or a
+    server session. Blocked attempts do not consume the operation; the
+    wait that would close a waits-for cycle aborts the youngest
+    transaction in the cycle (the pool's rule, {!Pool.exec_step}). After
+    the explicit schedule, a round-robin drain completes every
+    transaction, so every schedule yields a complete history. The same
+    inputs always produce the same history.
+
+    @raise Pool.Stuck on engine bugs: an execution that can make no
+    progress without a waits-for cycle. *)
 
 module Action = History.Action
 module Level = Isolation.Level
+module Engine = Core.Engine
+module Program = Core.Program
 
 type txn = Action.txn
 
@@ -46,10 +55,6 @@ type result = {
 }
 
 val committed_txns : result -> txn list
-
-exception Stuck of string
-(** Raised only on engine bugs: an execution that can make no progress
-    without a waits-for cycle. *)
 
 val run : config -> Program.t list -> schedule:txn list -> result
 

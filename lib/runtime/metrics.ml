@@ -1,16 +1,15 @@
-(* Runtime metrics. Recording is lock-free: plain counters are sharded
-   per domain, commit latencies go into a log2-bucketed histogram of
-   atomics. Quantiles read the histogram and interpolate log-linearly
-   within the bucket that holds the rank, so they stay within one bucket
-   (successive buckets differ by 2x) of the exact value, and distinct
-   quantiles inside one bucket still read apart. A snapshot caps them at
-   the exact max latency. *)
+(* Runtime metrics. Plain counters are sharded per domain and recorded
+   lock-free; a commit's latencies go into log2-bucketed histograms in
+   one short critical section. Quantiles read the histogram and
+   interpolate log-linearly within the bucket that holds the rank, so
+   they stay within one bucket (successive buckets differ by 2x) of the
+   exact value, and distinct quantiles inside one bucket still read
+   apart. A snapshot caps them at the exact max latency. *)
 
 module Engine = Core.Engine
 module L = Isolation.Level
 
 let buckets = 64
-let nbuckets = buckets
 
 let levels = Array.of_list L.all
 let nlevels = Array.length levels
@@ -28,58 +27,31 @@ let level_index = function
   | L.Serializable -> 9
 
 type t = {
-  committed : Stripes.Counter.t;
-  aborted : Stripes.Counter.t array; (* indexed by reason *)
-  retries : Stripes.Counter.t;
-  giveups : Stripes.Counter.t;
-  deadlocks : Stripes.Counter.t;
-  stalls : Stripes.Counter.t;
-  lock_waits : Stripes.Counter.t;
-  wait_ns : Stripes.Counter.t;
-  lat_hist : int Atomic.t array;  (* commit latencies, bucket = log2 ns *)
-  lat_sum_ns : Stripes.Counter.t;
-  lat_max_ns : int Atomic.t;      (* CAS-raised high-water mark *)
-  (* Interval maxima: every snapshot closes an epoch, swapping
+  counts : Stripes.Counter.t;
+  (* Commit latencies and their epochs, all guarded by [hist_m]: one
+     short critical section per commit, and plain arrays rather than an
+     atomic per bucket, which keeps [create] cheap. *)
+  hist_m : Mutex.t;
+  lat_hist : int array;           (* bucket = log2 ns *)
+  mutable lat_max_ns : int;       (* high-water mark *)
+  (* Interval maxima: every snapshot closes an epoch, moving
      [epoch_max_ns] (raised like [lat_max_ns]) into the closed epoch's
      ring slot, so any two snapshots at most [epochs] apart bound the
      commit latencies recorded between them. *)
-  epoch_max_ns : int Atomic.t;
-  epoch_m : Mutex.t;
+  mutable epoch_max_ns : int;
   mutable epoch : int;
   epoch_ring : int array;         (* epoch e's max at e mod [epochs] *)
   (* Phase breakdown of committed attempts: wall = exec + lock wait.
-     Failed attempts land in retry_overhead_ns instead (their whole wall
-     time, plus the restart backoffs between attempts). *)
-  exec_hist : int Atomic.t array;
-  exec_sum_ns : Stripes.Counter.t;
-  cwait_hist : int Atomic.t array;
-  cwait_sum_ns : Stripes.Counter.t;
-  retry_overhead_ns : Stripes.Counter.t;
+     Failed attempts land in the retry overhead counter instead (their
+     whole wall time, plus the restart backoffs between attempts). *)
+  exec_hist : int array;
+  cwait_hist : int array;
   (* Striped-execution observability: per-stripe acquisition counts and
      how many of those acquisitions found the stripe mutex held (a failed
      try_lock). One atomic pair per stripe — a worker increments only the
      stripes it acquires, so there is no shared hot cell. *)
   stripe_acquired : int Atomic.t array;
   stripe_contended : int Atomic.t array;
-  (* Chaos counters: faults the plan actually injected, attempts that
-     blew their deadline, and watchdog sightings of a stuck worker. The
-     first two also show up as abort reasons; these count events, not
-     aborts (a stall injects a fault but aborts nothing). *)
-  faults_injected : Stripes.Counter.t;
-  deadline_exceeded : Stripes.Counter.t;
-  watchdog_kicks : Stripes.Counter.t;
-  (* Online certification: transactions the certifier doomed because one
-     of their actions closed a dependency cycle. Also an abort reason;
-     kept as its own counter so the stress report surfaces it even when
-     buried among retries. *)
-  certifier_aborts : Stripes.Counter.t;
-  (* Per-isolation-level outcome breakdown (indexed by [level_index]).
-     Only the sites that know the transaction's level feed these, so the
-     column sums can trail the global counters (e.g. certifier dooms
-     noticed outside a leveled context). *)
-  level_commits : Stripes.Counter.t array;
-  level_aborts : Stripes.Counter.t array;
-  level_dooms : Stripes.Counter.t array;
   mutable started_at : float;
   mutable stopped_at : float;
 }
@@ -111,40 +83,58 @@ let abort_reason_slug = function
   | Engine.Deadline_exceeded -> "deadline_exceeded"
   | Engine.Certifier_abort -> "certifier_abort"
 
+(* Every sharded counter lives in one {!Stripes.Counter} bank, at the
+   index below. *)
+let c_committed = 0
+let c_retries = 1
+let c_giveups = 2
+let c_deadlocks = 3
+let c_stalls = 4
+let c_lock_waits = 5
+let c_wait_ns = 6
+let c_lat_sum_ns = 7
+let c_exec_sum_ns = 8
+let c_cwait_sum_ns = 9
+let c_retry_overhead_ns = 10
+(* Chaos counters: faults the plan actually injected, attempts that blew
+   their deadline, and watchdog sightings of a stuck worker. The first
+   two also show up as abort reasons; these count events, not aborts (a
+   stall injects a fault but aborts nothing). *)
+let c_faults_injected = 11
+let c_deadline_exceeded = 12
+let c_watchdog_kicks = 13
+(* Online certification: transactions the certifier doomed because one
+   of their actions closed a dependency cycle. Also an abort reason; kept
+   as its own counter so the stress report surfaces it even when buried
+   among retries. *)
+let c_certifier_aborts = 14
+let nreasons = Array.length reasons
+let c_aborted i = 15 + i (* by [reason_index] *)
+(* Per-isolation-level outcome breakdown (by [level_index]). Only the
+   sites that know the transaction's level feed these, so the column sums
+   can trail the global counters (e.g. certifier dooms noticed outside a
+   leveled context). *)
+let c_level_commits i = 15 + nreasons + i
+let c_level_aborts i = 15 + nreasons + nlevels + i
+let c_level_dooms i = 15 + nreasons + (2 * nlevels) + i
+let ncounters = 15 + nreasons + (3 * nlevels)
+
 let epochs = 32
 
-let create ?(stripes = 1) () =
+let create ?(stripes = 1) ?(cells = 16) () =
   let nstripes = max 1 stripes + 1 (* + the predicate stripe *) in
   {
-    committed = Stripes.Counter.create ();
-    aborted = Array.init (Array.length reasons) (fun _ -> Stripes.Counter.create ());
-    retries = Stripes.Counter.create ();
-    giveups = Stripes.Counter.create ();
-    deadlocks = Stripes.Counter.create ();
-    stalls = Stripes.Counter.create ();
-    lock_waits = Stripes.Counter.create ();
-    wait_ns = Stripes.Counter.create ();
-    lat_hist = Array.init buckets (fun _ -> Atomic.make 0);
-    lat_sum_ns = Stripes.Counter.create ();
-    lat_max_ns = Atomic.make 0;
-    epoch_max_ns = Atomic.make 0;
-    epoch_m = Mutex.create ();
+    counts = Stripes.Counter.create ~stripes:cells ~counters:ncounters ();
+    hist_m = Mutex.create ();
+    lat_hist = Array.make buckets 0;
+    lat_max_ns = 0;
+    epoch_max_ns = 0;
     epoch = 0;
     epoch_ring = Array.make epochs 0;
-    exec_hist = Array.init buckets (fun _ -> Atomic.make 0);
-    exec_sum_ns = Stripes.Counter.create ();
-    cwait_hist = Array.init buckets (fun _ -> Atomic.make 0);
-    cwait_sum_ns = Stripes.Counter.create ();
-    retry_overhead_ns = Stripes.Counter.create ();
+    exec_hist = Array.make buckets 0;
+    cwait_hist = Array.make buckets 0;
     stripe_acquired = Array.init nstripes (fun _ -> Atomic.make 0);
     stripe_contended = Array.init nstripes (fun _ -> Atomic.make 0);
-    faults_injected = Stripes.Counter.create ();
-    deadline_exceeded = Stripes.Counter.create ();
-    watchdog_kicks = Stripes.Counter.create ();
-    certifier_aborts = Stripes.Counter.create ();
-    level_commits = Array.init nlevels (fun _ -> Stripes.Counter.create ());
-    level_aborts = Array.init nlevels (fun _ -> Stripes.Counter.create ());
-    level_dooms = Array.init nlevels (fun _ -> Stripes.Counter.create ());
     started_at = 0.;
     stopped_at = 0.;
   }
@@ -152,55 +142,67 @@ let create ?(stripes = 1) () =
 let start t = t.started_at <- Unix.gettimeofday ()
 let stop t = t.stopped_at <- Unix.gettimeofday ()
 
+(* floor (log2 ns) by binary search over the shift: six steps for any
+   63-bit value, which stays below the top bucket. *)
 let bucket_of_ns ns =
-  let rec go i n = if n <= 1 || i >= buckets - 1 then i else go (i + 1) (n lsr 1) in
-  go 0 (max 1 ns)
+  let rec go b n s =
+    if s = 0 then b
+    else if n lsr s > 0 then go (b + s) (n lsr s) (s / 2)
+    else go b n (s / 2)
+  in
+  min (buckets - 1) (go 0 (max 1 ns) 32)
 
-let rec raise_max a v =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then raise_max a v
+let incr t c = Stripes.Counter.add_at t.counts c 1
+let add t c n = Stripes.Counter.add_at t.counts c n
+let sum t c = Stripes.Counter.sum_at t.counts c
 
-let record_level arr = function
+let record_level t counter = function
   | None -> ()
-  | Some level -> Stripes.Counter.incr arr.(level_index level)
+  | Some level -> incr t (counter (level_index level))
 
 let record_commit ?(wait_ns = 0) ?level t ~latency_ns =
-  Stripes.Counter.incr t.committed;
-  record_level t.level_commits level;
-  Stripes.Counter.add t.lat_sum_ns latency_ns;
-  raise_max t.lat_max_ns latency_ns;
-  raise_max t.epoch_max_ns latency_ns;
-  ignore (Atomic.fetch_and_add t.lat_hist.(bucket_of_ns latency_ns) 1);
+  incr t c_committed;
+  record_level t c_level_commits level;
+  add t c_lat_sum_ns latency_ns;
   let wait_ns = min wait_ns latency_ns in
   let exec_ns = latency_ns - wait_ns in
-  Stripes.Counter.add t.exec_sum_ns exec_ns;
-  ignore (Atomic.fetch_and_add t.exec_hist.(bucket_of_ns exec_ns) 1);
-  Stripes.Counter.add t.cwait_sum_ns wait_ns;
-  ignore (Atomic.fetch_and_add t.cwait_hist.(bucket_of_ns wait_ns) 1)
+  add t c_exec_sum_ns exec_ns;
+  add t c_cwait_sum_ns wait_ns;
+  let lat_b = bucket_of_ns latency_ns
+  and exec_b = bucket_of_ns exec_ns
+  and wait_b = bucket_of_ns wait_ns in
+  Mutex.lock t.hist_m;
+  t.lat_hist.(lat_b) <- t.lat_hist.(lat_b) + 1;
+  t.exec_hist.(exec_b) <- t.exec_hist.(exec_b) + 1;
+  t.cwait_hist.(wait_b) <- t.cwait_hist.(wait_b) + 1;
+  t.lat_max_ns <- max t.lat_max_ns latency_ns;
+  t.epoch_max_ns <- max t.epoch_max_ns latency_ns;
+  Mutex.unlock t.hist_m
 
-let record_retry_overhead_ns t ns = Stripes.Counter.add t.retry_overhead_ns ns
+let record_retry_overhead_ns t ns = add t c_retry_overhead_ns ns
 
 let record_abort ?level t reason =
-  Stripes.Counter.incr t.aborted.(reason_index reason);
-  record_level t.level_aborts level
-let record_block t = Stripes.Counter.incr t.lock_waits
-let record_wait_ns t ns = Stripes.Counter.add t.wait_ns ns
-let record_retry t = Stripes.Counter.incr t.retries
+  incr t (c_aborted (reason_index reason));
+  record_level t c_level_aborts level
+let record_block t = incr t c_lock_waits
+let record_wait_ns t ns = add t c_wait_ns ns
+let record_retry t = incr t c_retries
 
 let record_stripe_acquire t i ~contended =
   if i >= 0 && i < Array.length t.stripe_acquired then begin
     ignore (Atomic.fetch_and_add t.stripe_acquired.(i) 1);
     if contended then ignore (Atomic.fetch_and_add t.stripe_contended.(i) 1)
   end
-let record_deadlock t = Stripes.Counter.incr t.deadlocks
-let record_stall t = Stripes.Counter.incr t.stalls
-let record_giveup t = Stripes.Counter.incr t.giveups
-let record_fault t = Stripes.Counter.incr t.faults_injected
-let record_deadline_exceeded t = Stripes.Counter.incr t.deadline_exceeded
-let record_watchdog t = Stripes.Counter.incr t.watchdog_kicks
+let record_deadlock t = incr t c_deadlocks
+let deadlocks t = sum t c_deadlocks
+let record_stall t = incr t c_stalls
+let record_giveup t = incr t c_giveups
+let record_fault t = incr t c_faults_injected
+let record_deadline_exceeded t = incr t c_deadline_exceeded
+let record_watchdog t = incr t c_watchdog_kicks
 let record_certifier_abort ?level t =
-  Stripes.Counter.incr t.certifier_aborts;
-  record_level t.level_dooms level
+  incr t c_certifier_aborts;
+  record_level t c_level_dooms level
 
 type level_stats = {
   level : L.t;
@@ -269,12 +271,17 @@ let hist_quantile hist total q =
   end
 
 let snapshot (t : t) =
-  Mutex.lock t.epoch_m;
+  Mutex.lock t.hist_m;
   t.epoch <- t.epoch + 1;
-  t.epoch_ring.(t.epoch mod epochs) <- Atomic.exchange t.epoch_max_ns 0;
+  t.epoch_ring.(t.epoch mod epochs) <- t.epoch_max_ns;
+  t.epoch_max_ns <- 0;
   let epoch = t.epoch and epoch_max_ns = Array.copy t.epoch_ring in
-  Mutex.unlock t.epoch_m;
-  let committed = Stripes.Counter.sum t.committed in
+  let lat_hist = Array.copy t.lat_hist
+  and exec_hist = Array.copy t.exec_hist
+  and cwait_hist = Array.copy t.cwait_hist
+  and lat_max_ns = t.lat_max_ns in
+  Mutex.unlock t.hist_m;
+  let committed = sum t c_committed in
   let stripe_acquired =
     Array.fold_left (fun acc a -> acc + Atomic.get a) 0 t.stripe_acquired
   in
@@ -283,19 +290,19 @@ let snapshot (t : t) =
   in
   let aborted_counts =
     Array.to_list
-      (Array.mapi (fun i c -> (reasons.(i), Stripes.Counter.sum c)) t.aborted)
+      (Array.mapi (fun i r -> (r, sum t (c_aborted i))) reasons)
   in
   let aborted = List.filter (fun (_, n) -> n > 0) aborted_counts in
   let aborted_total = List.fold_left (fun acc (_, n) -> acc + n) 0 aborted in
   let now = Unix.gettimeofday () in
   let stopped = if t.stopped_at > 0. then t.stopped_at else now in
   let wall_s = Float.max 1e-9 (stopped -. t.started_at) in
-  let sum_ns = Stripes.Counter.sum t.lat_sum_ns in
-  let lat_max_ms = float (Atomic.get t.lat_max_ns) /. 1e6 in
+  let sum_ns = sum t c_lat_sum_ns in
+  let lat_max_ms = float lat_max_ns /. 1e6 in
   (* Interpolation can land above the largest sample in the top bucket;
      a latency, or its exec or wait share, never exceeds the exact max. *)
   let quantile hist total q =
-    Float.min lat_max_ms (hist_quantile (Array.map Atomic.get hist) total q)
+    Float.min lat_max_ms (hist_quantile hist total q)
   in
   let per_level =
     Array.to_list
@@ -303,9 +310,9 @@ let snapshot (t : t) =
          (fun i level ->
            {
              level;
-             l_committed = Stripes.Counter.sum t.level_commits.(i);
-             l_aborted = Stripes.Counter.sum t.level_aborts.(i);
-             l_doomed = Stripes.Counter.sum t.level_dooms.(i);
+             l_committed = sum t (c_level_commits i);
+             l_aborted = sum t (c_level_aborts i);
+             l_doomed = sum t (c_level_dooms i);
            })
          levels)
     |> List.filter (fun l -> l.l_committed + l.l_aborted + l.l_doomed > 0)
@@ -315,31 +322,31 @@ let snapshot (t : t) =
     committed;
     aborted;
     aborted_total;
-    retries = Stripes.Counter.sum t.retries;
-    giveups = Stripes.Counter.sum t.giveups;
-    deadlocks = Stripes.Counter.sum t.deadlocks;
-    stalls = Stripes.Counter.sum t.stalls;
-    lock_waits = Stripes.Counter.sum t.lock_waits;
-    wait_ns = Stripes.Counter.sum t.wait_ns;
+    retries = sum t c_retries;
+    giveups = sum t c_giveups;
+    deadlocks = sum t c_deadlocks;
+    stalls = sum t c_stalls;
+    lock_waits = sum t c_lock_waits;
+    wait_ns = sum t c_wait_ns;
     wall_s;
     throughput = float committed /. wall_s;
-    lat_p50_ms = quantile t.lat_hist committed 0.50;
-    lat_p90_ms = quantile t.lat_hist committed 0.90;
-    lat_p99_ms = quantile t.lat_hist committed 0.99;
+    lat_p50_ms = quantile lat_hist committed 0.50;
+    lat_p90_ms = quantile lat_hist committed 0.90;
+    lat_p99_ms = quantile lat_hist committed 0.99;
     lat_max_ms;
     lat_mean_ms =
       (if committed = 0 then 0. else float sum_ns /. float committed /. 1e6);
-    exec_p50_ms = quantile t.exec_hist committed 0.50;
-    exec_p99_ms = quantile t.exec_hist committed 0.99;
+    exec_p50_ms = quantile exec_hist committed 0.50;
+    exec_p99_ms = quantile exec_hist committed 0.99;
     exec_mean_ms =
       (if committed = 0 then 0.
-       else float (Stripes.Counter.sum t.exec_sum_ns) /. float committed /. 1e6);
-    lock_wait_p50_ms = quantile t.cwait_hist committed 0.50;
-    lock_wait_p99_ms = quantile t.cwait_hist committed 0.99;
+       else float (sum t c_exec_sum_ns) /. float committed /. 1e6);
+    lock_wait_p50_ms = quantile cwait_hist committed 0.50;
+    lock_wait_p99_ms = quantile cwait_hist committed 0.99;
     lock_wait_mean_ms =
       (if committed = 0 then 0.
-       else float (Stripes.Counter.sum t.cwait_sum_ns) /. float committed /. 1e6);
-    retry_overhead_s = float (Stripes.Counter.sum t.retry_overhead_ns) /. 1e9;
+       else float (sum t c_cwait_sum_ns) /. float committed /. 1e6);
+    retry_overhead_s = float (sum t c_retry_overhead_ns) /. 1e9;
     stripe_acquired;
     stripe_contended;
     lock_stripe_contended =
@@ -349,11 +356,11 @@ let snapshot (t : t) =
       Array.map2
         (fun a c -> (Atomic.get a, Atomic.get c))
         t.stripe_acquired t.stripe_contended;
-    faults_injected = Stripes.Counter.sum t.faults_injected;
-    deadline_exceeded = Stripes.Counter.sum t.deadline_exceeded;
-    watchdog_kicks = Stripes.Counter.sum t.watchdog_kicks;
-    certifier_aborts = Stripes.Counter.sum t.certifier_aborts;
-    lat_hist = Array.map Atomic.get t.lat_hist;
+    faults_injected = sum t c_faults_injected;
+    deadline_exceeded = sum t c_deadline_exceeded;
+    watchdog_kicks = sum t c_watchdog_kicks;
+    certifier_aborts = sum t c_certifier_aborts;
+    lat_hist;
     epoch;
     epoch_max_ns;
     per_level;

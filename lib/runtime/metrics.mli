@@ -1,9 +1,10 @@
 (** Runtime metrics: throughput, latency quantiles and abort accounting
     for the multicore worker pool.
 
-    Counters are sharded per domain ({!Stripes.Counter}) and commit
-    latencies land in a lock-free log₂ histogram, so recording never
-    serializes the workers. Quantiles are therefore bucket-resolution
+    Counters are sharded per domain ({!Stripes.Counter}) and recorded
+    lock-free; a commit's latencies land in log₂ histograms under one
+    short critical section, shared only with other commits and
+    snapshots. Quantiles are therefore bucket-resolution
     approximations (successive buckets differ by 2×), which is enough to
     track the performance trajectory across PRs.
 
@@ -22,9 +23,11 @@
 
 type t
 
-val create : ?stripes:int -> unit -> t
+val create : ?stripes:int -> ?cells:int -> unit -> t
 (** [stripes] (default 1) sizes the per-stripe acquisition counters: one
-    pair per key stripe plus one for the predicate stripe. *)
+    pair per key stripe plus one for the predicate stripe. [cells]
+    (default 16) sizes every sharded counter ({!Stripes.Counter}); one
+    cell suffices when a single domain records. *)
 
 val start : t -> unit
 (** Mark the wall-clock start of the measured run. *)
@@ -149,14 +152,14 @@ type snapshot = {
           column sums may trail them *)
 }
 
+val deadlocks : t -> int
+(** The [deadlocks] count a {!snapshot} would report, read alone. *)
+
 val snapshot : t -> snapshot
 (** Safe to call while the workers run (see the live-read semantics
     above): each counter is individually consistent and monotone, the
     set is only approximately mutually consistent until the workers have
     joined — then it is exact. *)
-
-val nbuckets : int
-(** Number of log₂ latency buckets in [lat_hist]. *)
 
 val hist_quantile : int array -> int -> float -> float
 (** [hist_quantile hist total q] reads quantile [q] (in \[0,1\]) off a

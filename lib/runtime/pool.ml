@@ -27,7 +27,8 @@
      [coarse = true] (the comparison baseline, and the automatic
      mode for the single-threaded multiversion and timestamp engines)
      degenerates the set to one key stripe with every footprint forced
-     to All: the unified code path then behaves exactly like the old
+     to All: every step, and every all-stripes holder, takes stripe 0
+     alone, so the unified code path behaves exactly like the old
      single latch.
 
    - Workers never sleep while holding a stripe. A step that comes back
@@ -72,10 +73,12 @@
      certified away, not merely observed.
 
    - One step path and one wait rule: every transaction, a batch
-     worker's job or a server session's, runs through the step interface
-     ([exec_begin], [exec_step], [exec_finish]), which also owns the
-     starvation valve. The batch runner parks its worker on a blocked
-     step; the server parks the session and serves others.
+     worker's job, a server session's or a scripted schedule's, runs
+     through the step interface ([exec_begin], [exec_step],
+     [exec_finish]), which also owns the starvation valve. The batch
+     runner parks its worker on a blocked step; the server parks the
+     session and serves others; the deterministic driver ({!Executor})
+     retries the step when its schedule next names the transaction.
 
    - Job dispatch is a lock-free ticket: Atomic.fetch_and_add over the
      job generator's indices.
@@ -218,7 +221,8 @@ type shared = {
   engine : Engine.t;
   stripes : Stripes.t; (* nstripes key stripes + 1 predicate stripe *)
   nstripes : int;      (* key stripes; the predicate stripe is index nstripes *)
-  all : int list;      (* the all-stripes plan, precomputed *)
+  all : int list;      (* the plan that excludes every step: every stripe,
+                          or stripe 0 alone when every step takes it *)
   coarse : bool;       (* force the All plan for every step *)
   serial_aux : bool;   (* begin/status need the full stripe set (Mv/TO) *)
   waits : Waits.t;     (* the incremental waits-for graph *)
@@ -232,7 +236,9 @@ type shared = {
   (* Per-worker heartbeats for the watchdog: the stamp of the worker's
      last step entry (0 = not started, max_int = idle: thinking, parked
      or done), and the tid it is currently running — read by the
-     watchdog domain, written only by the owning worker. *)
+     watchdog domain, written only by the owning worker, and stamped
+     only when a watchdog runs. *)
+  watched : bool;
   hb : int Atomic.t array;
   hb_tid : int Atomic.t array;
 }
@@ -422,7 +428,7 @@ let with_aux_exclusion sh ~tid f =
 (* Build the shared execution state: engine, stripes, waits-for graph,
    certifier/tear/lock hooks — everything the step interface below
    needs, up to and including [Metrics.start]. *)
-let make_shared (cfg : config) ~family =
+let make_shared ?next_key_locking ?update_locks (cfg : config) ~family =
   (* Only the locking engine is striped; the multiversion and timestamp
      engines stay single-threaded and run every step (and begin/status)
      under the full stripe set — behaviorally the old coarse latch.
@@ -433,12 +439,12 @@ let make_shared (cfg : config) ~family =
   let engine =
     Engine.create ~initial:cfg.initial ~predicates:cfg.predicates
       ~stripes:nstripes ~audit:false
-      ~first_updater_wins:cfg.first_updater_wins
-      ?wal_dir:cfg.wal_dir ?wal_segment_bytes:cfg.wal_segment_bytes
+      ~first_updater_wins:cfg.first_updater_wins ?next_key_locking
+      ?update_locks ?wal_dir:cfg.wal_dir ?wal_segment_bytes:cfg.wal_segment_bytes
       ~checkpoint_every:cfg.checkpoint_every ~retain_trace:cfg.keep_history
       ~family ()
   in
-  let wakes = { wm = Mutex.create (); by_tid = Hashtbl.create 64 } in
+  let wakes = { wm = Mutex.create (); by_tid = Hashtbl.create 16 } in
   let certifier =
     if not cfg.certify then None
     else begin
@@ -475,7 +481,7 @@ let make_shared (cfg : config) ~family =
       engine;
       stripes = Stripes.create (nstripes + 1);
       nstripes;
-      all = List.init (nstripes + 1) Fun.id;
+      all = (if striped then List.init (nstripes + 1) Fun.id else [ 0 ]);
       coarse = not striped;
       serial_aux = family <> `Locking;
       waits = Waits.create ();
@@ -483,11 +489,16 @@ let make_shared (cfg : config) ~family =
       certifier;
       detector = Mutex.create ();
       next_tid = Atomic.make 1;
-      metrics = Metrics.create ~stripes:nstripes ();
+      (* One counter cell per stepping domain at most: a lone worker
+         needs one. *)
+      metrics =
+        Metrics.create ~stripes:nstripes
+          ?cells:(if cfg.workers = 1 then Some 1 else None) ();
       recorder =
         (if cfg.keep_history then Some (Recorder.create ~stripes:cfg.workers)
          else None);
       sink = cfg.trace;
+      watched = cfg.watchdog_us <> None;
       hb = Array.init (max 1 cfg.workers) (fun _ -> Atomic.make 0);
       hb_tid = Array.init (max 1 cfg.workers) (fun _ -> Atomic.make 0);
     }
@@ -643,7 +654,8 @@ type session_step =
   | Session_finished
   | Session_aborted of Engine.abort_reason
 
-let exec_create (cfg : config) ~family = { ecfg = cfg; esh = make_shared cfg ~family }
+let exec_create ?next_key_locking ?update_locks (cfg : config) ~family =
+  { ecfg = cfg; esh = make_shared ?next_key_locking ?update_locks cfg ~family }
 
 let exec_attach_worker t ~worker =
   Option.iter (fun s -> Trace.Sink.attach s ~worker) t.esh.sink
@@ -651,11 +663,8 @@ let exec_attach_worker t ~worker =
 let exec_fresh_tid t = Atomic.fetch_and_add t.esh.next_tid 1
 let exec_env t ~tid = Engine.env t.esh.engine tid
 
-let exec_status t ~tid =
-  with_aux_exclusion t.esh ~tid (fun () -> Engine.status t.esh.engine tid)
-
 let heartbeat sh ~worker ~tid =
-  if worker >= 0 && worker < Array.length sh.hb then begin
+  if sh.watched && worker >= 0 && worker < Array.length sh.hb then begin
     Atomic.set sh.hb_tid.(worker) tid;
     Atomic.set sh.hb.(worker) (now_ns ())
   end
@@ -668,9 +677,10 @@ let exec_begin ?declared ~wake t ~worker ~tid ~job ~name ~attempt ~level
   Mutex.lock sh.wakes.wm;
   Hashtbl.replace sh.wakes.by_tid tid wake;
   Mutex.unlock sh.wakes.wm;
-  emit sh ~tid
-    (Trace.Event.Attempt_begin
-       { job; name; attempt; level = Level.name declared });
+  if sh.sink <> None then
+    emit sh ~tid
+      (Trace.Event.Attempt_begin
+         { job; name; attempt; level = Level.name declared });
   with_aux_exclusion sh ~tid (fun () ->
       Engine.begin_txn ~read_only sh.engine tid ~level);
   (* Declare the level before the first action can reach the certifier:
@@ -727,7 +737,7 @@ let exec_step ?level ~tries t ~worker ~tid ~seq ~start_ns op =
        no poll follows it. *)
     Metrics.record_certifier_abort ?level sh.metrics;
     Session_aborted (abort_self sh ~tid Engine.Certifier_abort)
-  | _ when now_ns () > deadline_at ->
+  | _ when deadline_at < max_int && now_ns () > deadline_at ->
     (* Past the budget (blocked waits and injected stalls count):
        graceful abort; the retry starts a fresh deadline window. Count
        it only if the abort landed as ours — a concurrent deadlock break
@@ -747,7 +757,7 @@ let exec_step ?level ~tries t ~worker ~tid ~seq ~start_ns op =
   | _ ->
     let traced = sh.sink <> None in
     let op_str = if traced then Fmt.str "%a" Program.pp_op op else "" in
-    emit sh ~tid (Trace.Event.Step_begin { op = op_str });
+    if traced then emit sh ~tid (Trace.Event.Step_begin { op = op_str });
     let plan = plan_for sh tid op in
     acquire_plan sh ~tid plan;
     let hpos0 = Engine.trace_len sh.engine in
@@ -787,18 +797,21 @@ let exec_step ?level ~tries t ~worker ~tid ~seq ~start_ns op =
         | `Retry -> `Retry holders
         | `Self_aborted -> `Self_aborted holders)
     in
-    emit sh ~tid
-      (Trace.Event.Step_end
-         {
-           op = op_str;
-           outcome =
-             (match outcome with
-             | `Progress -> Trace.Event.Progress
-             | `Finished -> Trace.Event.Finished
-             | `Wait hs | `Retry hs | `Self_aborted hs -> Trace.Event.Blocked hs);
-           hpos0;
-           hpos1;
-         });
+    (* Untraced steps build no events. *)
+    if traced then
+      emit sh ~tid
+        (Trace.Event.Step_end
+           {
+             op = op_str;
+             outcome =
+               (match outcome with
+               | `Progress -> Trace.Event.Progress
+               | `Finished -> Trace.Event.Finished
+               | `Wait hs | `Retry hs | `Self_aborted hs ->
+                 Trace.Event.Blocked hs);
+             hpos0;
+             hpos1;
+           });
     (match outcome with
     | `Progress -> Session_progress
     | `Finished -> Session_finished
@@ -817,6 +830,9 @@ let exec_abort ?(reason = Engine.User_abort) t ~tid =
 
 let exec_family t = Engine.family t.esh.engine
 let exec_live t = live_of_shared t.esh
+let exec_history t = Engine.trace t.esh.engine
+let exec_final t = Engine.final_state t.esh.engine
+let exec_deadlocks t = Metrics.deadlocks t.esh.metrics
 
 let exec_finish t ~worker ~tid ~job ~name ~level ~attempt ~start_ns ~wait_ns =
   let sh = t.esh in

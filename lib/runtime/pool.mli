@@ -19,21 +19,29 @@
 
     Every transaction runs through one step path, the step interface
     below ({!exec_begin}, {!exec_step}, {!exec_finish}); the batch
-    entry points ({!run_n}, {!run_for}) are its clients, as is the wire
-    server. Both wait the same way: a blocked transaction waits
-    *outside* its stripes until a transaction it waits on terminates,
-    so lock waits in the engine never idle the other workers. A batch
-    worker parks its domain; the server parks the session.
+    entry points ({!run_n}, {!run_for}) are its clients, as are the wire
+    server and the deterministic driver {!Executor}. A blocked
+    transaction waits *outside* its stripes until a transaction it
+    waits on terminates, so lock waits in the engine never idle the
+    other workers. A batch worker parks its domain; the server parks
+    the session; the driver retries the operation when its schedule
+    next names the transaction.
 
     The waits-for graph is a {!Graph.Incremental}: a blocked step
     publishes its edges under its stripes, and the insertion that would
     close a cycle is rejected with its witness on the spot — deadlock
-    detection costs nothing while the graph stays acyclic. The reporting worker confirms the witness under every
-    stripe and aborts the youngest member, whose job restarts under a
-    fresh transaction id. Aborted attempts (deadlock victim,
-    First-Committer-Wins, serialization failure, timestamp too-late,
-    certifier doom) are retried up to 64 attempts, after a jittered
-    restart backoff ({!Backoff}).
+    detection costs nothing while the graph stays acyclic. The reporting
+    worker confirms the witness under every stripe and aborts the
+    youngest member, whose job restarts under a fresh transaction id.
+    This is the only victim rule. The closing edge is never stored, so a
+    deadlock is found when the wait that closes it is published (a
+    surviving one again at its waiter's next step); where one
+    interleaving forms two or more deadlocks, the order of those
+    publications, not a search of the whole graph, decides which
+    members die. Aborted attempts (deadlock victim, First-Committer-Wins,
+    serialization failure, timestamp too-late, certifier doom) are
+    retried up to 64 attempts, after a jittered restart backoff
+    ({!Backoff}).
 
     With [certify = true] the run is additionally certified online: the
     engine trace feeds a {!Certifier} as each action is recorded, and a
@@ -345,15 +353,22 @@ type session_step =
           once *)
   | Session_finished
       (** the transaction was already terminated from outside (deadlock
-          victim, certifier doom observed late); check {!exec_status} *)
+          victim, certifier doom observed late); {!exec_finish} reports
+          how it ended *)
   | Session_aborted of Core.Engine.abort_reason
       (** aborted itself during this step (injected fault, certifier
           doom, blown deadline, chosen as its own deadlock victim, or
           the starvation valve) *)
 
-val exec_create : config -> family:[ `Locking | `Mv | `Timestamp ] -> exec
+val exec_create :
+  ?next_key_locking:bool ->
+  ?update_locks:bool ->
+  config -> family:[ `Locking | `Mv | `Timestamp ] -> exec
 (** [config.workers] sizes the heartbeat lanes; pass the number of
-    serving threads/domains that will call {!exec_step}. *)
+    serving threads/domains that will call {!exec_step}.
+    [next_key_locking] and [update_locks] (default false) are the
+    locking engine's ablations ({!Core.Engine.create}), for the
+    deterministic driver's paper experiments. *)
 
 val exec_attach_worker : exec -> worker:int -> unit
 (** Bind the calling domain to trace ring [worker] (no-op untraced).
@@ -400,8 +415,6 @@ val exec_env : exec -> tid:int -> Core.Program.env
 (** The transaction's observations so far — the read/scan results a
     server returns to its client. *)
 
-val exec_status : exec -> tid:int -> Core.Engine.status
-
 val exec_abort : ?reason:Core.Engine.abort_reason -> exec -> tid:int -> unit
 (** Abort from outside the program (e.g. the client disconnected);
     [reason] defaults to [User_abort]. No-op if already terminated. *)
@@ -411,6 +424,17 @@ val exec_family : exec -> [ `Locking | `Mv | `Timestamp ]
 val exec_live : exec -> live
 (** Sample the running context (see {!live}); safe from any thread,
     including concurrently with steps. *)
+
+val exec_history : exec -> History.t
+(** The engine trace so far: {!field:result.history} without stopping
+    the clock or judging it. *)
+
+val exec_final : exec -> (Action.key * Action.value) list
+(** The committed store image so far: {!field:result.final}. *)
+
+val exec_deadlocks : exec -> int
+(** Deadlocks broken so far: the [deadlocks] count of {!exec_live}'s
+    metrics, without taking a snapshot. *)
 
 val exec_finish :
   exec -> worker:int -> tid:int -> job:int -> name:string ->

@@ -4,10 +4,6 @@
 
 type outcome = Committed | Aborted of Core.Engine.abort_reason
 
-let pp_outcome ppf = function
-  | Committed -> Fmt.string ppf "committed"
-  | Aborted r -> Fmt.pf ppf "aborted (%a)" Core.Engine.pp_abort_reason r
-
 type entry = {
   seq : int;
   job : int;
@@ -42,8 +38,9 @@ let record t ~job ~name ~level ~tid ~attempt ~worker ~start_ns ~finish_ns
     { seq; job; name; level; tid; attempt; worker; start_ns; finish_ns; outcome }
   in
   let i = worker mod Array.length t.buffers in
-  Stripes.with_index t.stripes i (fun () ->
-      t.buffers.(i) := e :: !(t.buffers.(i)))
+  ignore (Stripes.acquire t.stripes i : bool);
+  t.buffers.(i) := e :: !(t.buffers.(i));
+  Stripes.release t.stripes i
 
 let entries t =
   Array.to_list t.buffers

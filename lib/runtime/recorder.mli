@@ -16,8 +16,6 @@
 
 type outcome = Committed | Aborted of Core.Engine.abort_reason
 
-val pp_outcome : outcome Fmt.t
-
 type entry = {
   seq : int;  (** global completion order *)
   job : int;  (** index of the logical job *)

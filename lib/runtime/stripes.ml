@@ -34,23 +34,22 @@ let acquire ?(spin = 0) t i =
 
 let release t i = Mutex.unlock t.(i)
 
-let with_index t i f =
-  let m = t.(((i mod Array.length t) + Array.length t) mod Array.length t) in
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-let with_key t k f = with_index t (stripe_of_key t k) f
-
 module Counter = struct
-  type t = int Atomic.t array
+  (* One row per cell, one atomic per counter in each: a domain's
+     increments stay in its own row whichever counter they hit. *)
+  type t = int Atomic.t array array
 
-  let create ?(stripes = 16) () =
-    Array.init (max 1 stripes) (fun _ -> Atomic.make 0)
+  let create ?(stripes = 16) ?(counters = 1) () =
+    Array.init (max 1 stripes) (fun _ ->
+        Array.init (max 1 counters) (fun _ -> Atomic.make 0))
 
-  let cell t =
-    t.((Domain.self () :> int) mod Array.length t)
+  let add_at t i n =
+    let row = t.((Domain.self () :> int) mod Array.length t) in
+    ignore (Atomic.fetch_and_add row.(i) n)
 
-  let add t n = ignore (Atomic.fetch_and_add (cell t) n)
-  let incr t = add t 1
-  let sum t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t
+  let incr t = add_at t 0 1
+
+  let sum_at t i = Array.fold_left (fun acc row -> acc + Atomic.get row.(i)) 0 t
+
+  let sum t = sum_at t 0
 end

@@ -5,10 +5,10 @@
     from a single coarse latch toward a scalable lock table and store
     (ROADMAP: striped lock table tuning).
 
-    {!Counter} is a sharded counter in the style of LongAdder: increments
-    land on a per-domain atomic cell, so hot counters (commits, lock
-    waits) do not serialize the worker pool on one cache line; [sum]
-    folds the cells. *)
+    {!Counter} is a bank of sharded counters in the style of LongAdder:
+    increments land on a per-domain atomic cell, so hot counters
+    (commits, lock waits) do not serialize the worker pool on one cache
+    line; a sum folds one counter's cells. *)
 
 type t
 
@@ -30,24 +30,27 @@ val acquire : ?spin:int -> t -> int -> bool
 
 val release : t -> int -> unit
 
-val with_index : t -> int -> (unit -> 'a) -> 'a
-(** Run a function holding the stripe [i mod size]. *)
-
-val with_key : t -> string -> (unit -> 'a) -> 'a
-(** Run a function holding the key's stripe. *)
-
 module Counter : sig
   type t
 
-  val create : ?stripes:int -> unit -> t
-  val add : t -> int -> unit
+  val create : ?stripes:int -> ?counters:int -> unit -> t
+  (** [stripes] (default 16) cells per counter; [counters] (default 1)
+      counters, indexed [0 .. counters - 1]. *)
+
+  val add_at : t -> int -> int -> unit
+  (** [add_at t i n] adds [n] to counter [i]. *)
+
   val incr : t -> unit
+  (** Add 1 to counter 0. *)
 
   val sum : t -> int
-  (** Fold all cells. Each cell is an [Atomic.t], so a live sum never
+  (** Fold counter 0's cells. Each cell is an [Atomic.t], so a live sum never
       tears a cell and — the counter being add-only — never decreases
       between two reads. A live sum can lag increments that land on
       already-folded cells mid-fold; it is exact once writers are
       quiescent. This is the contract {!Metrics.snapshot}'s live reads
       are built on. *)
+
+  val sum_at : t -> int -> int
+  (** [sum] of counter [i]. *)
 end

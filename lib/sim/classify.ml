@@ -15,7 +15,7 @@
 module P = Phenomena.Phenomenon
 module Level = Isolation.Level
 module Spec = Isolation.Spec
-module Executor = Core.Executor
+module Executor = Runtime.Executor
 module Scenario = Workload.Scenario
 
 type scenario_outcome = {

@@ -5,25 +5,6 @@
    Enumerating every merge explores every reachable history of the
    deterministic engine: attempts are its only source of nondeterminism. *)
 
-(* All merges of [k] sequences with the given lengths, as 1-based stream
-   indices. The count is the multinomial coefficient. *)
-let merges sizes =
-  let rec go remaining =
-    if List.for_all (fun r -> r = 0) remaining then [ [] ]
-    else
-      List.concat
-        (List.mapi
-           (fun i r ->
-             if r = 0 then []
-             else
-               let remaining' =
-                 List.mapi (fun j r' -> if i = j then r' - 1 else r') remaining
-               in
-               List.map (fun rest -> (i + 1) :: rest) (go remaining'))
-           remaining)
-  in
-  go sizes
-
 let count sizes =
   let rec fact n = if n <= 1 then 1 else n * fact (n - 1) in
   fact (List.fold_left ( + ) 0 sizes)
@@ -37,9 +18,9 @@ let sizes_of_programs programs =
       Core.Program.length p + if Core.Program.terminated p then 0 else 1)
     programs
 
-(* Iterate over merges without materializing the whole list; [f] may stop
-   the search early by returning [true] ("found"). Returns whether any
-   merge satisfied [f], and how many were visited. *)
+(* Visit merges in lexicographic order without materializing them; [f]
+   may stop the search early by returning [true] ("found"). Returns
+   whether any merge satisfied [f], and how many were visited. *)
 let exists_merge sizes f =
   let visited = ref 0 in
   let rec go remaining prefix =
@@ -64,23 +45,19 @@ let exists_merge sizes f =
   let found = go sizes [] in
   (found, !visited)
 
+(* All merges, as 1-based stream indices, in the order [exists_merge]
+   visits them. The count is the multinomial coefficient. *)
+let merges sizes =
+  let acc = ref [] in
+  ignore (exists_merge sizes (fun m -> acc := m :: !acc; false) : bool * int);
+  List.rev !acc
+
 (* Run [f] on every merge, collecting how many satisfied it. *)
 let count_merges sizes f =
-  let total = ref 0 and hits = ref 0 in
-  let rec go remaining prefix =
-    if List.for_all (fun r -> r = 0) remaining then begin
-      incr total;
-      if f (List.rev prefix) then incr hits
-    end
-    else
-      List.iteri
-        (fun i r ->
-          if r > 0 then
-            let remaining' =
-              List.mapi (fun j r' -> if j = i then r' - 1 else r') remaining
-            in
-            go remaining' ((i + 1) :: prefix))
-        remaining
+  let hits = ref 0 in
+  let _, total =
+    exists_merge sizes (fun m ->
+        if f m then incr hits;
+        false)
   in
-  go sizes [];
-  (!hits, !total)
+  (!hits, total)

@@ -10,7 +10,7 @@
    cursor access but not on plain reads. *)
 
 module P = Phenomena.Phenomenon
-module Executor = Core.Executor
+module Executor = Runtime.Executor
 module Program = Core.Program
 
 type t = {

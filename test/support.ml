@@ -13,7 +13,7 @@ let possibility =
   Alcotest.testable Isolation.Spec.pp_possibility (fun a b -> a = b)
 
 let exec_status =
-  Alcotest.testable Core.Executor.pp_status (fun a b -> a = b)
+  Alcotest.testable Runtime.Executor.pp_status (fun a b -> a = b)
 
 let h = History.of_string
 
@@ -21,15 +21,15 @@ let h = History.of_string
 let run ?(initial = []) ?(predicates = []) ?(first_updater_wins = false) level
     programs schedule =
   let cfg =
-    Core.Executor.config ~initial ~predicates ~first_updater_wins
+    Runtime.Executor.config ~initial ~predicates ~first_updater_wins
       (List.map (fun _ -> level) programs)
   in
-  Core.Executor.run cfg programs ~schedule
+  Runtime.Executor.run cfg programs ~schedule
 
 (* Run with one level per program. *)
 let run_mixed ?(initial = []) ?(predicates = []) levels programs schedule =
-  let cfg = Core.Executor.config ~initial ~predicates levels in
-  Core.Executor.run cfg programs ~schedule
+  let cfg = Runtime.Executor.config ~initial ~predicates levels in
+  Runtime.Executor.run cfg programs ~schedule
 
 let check_exhibits ~name history expected =
   Alcotest.(check (list phenomenon))

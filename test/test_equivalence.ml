@@ -5,7 +5,14 @@
    verdicts and cycle witnesses. Inputs: the paper's histories, the
    scenario catalog run under several levels and schedules, and seeded
    random single- and multiversion histories, some over two or three
-   items so each carries hundreds of witnesses. *)
+   items so each carries hundreds of witnesses.
+
+   The step driver ({!Runtime.Executor}) against the private scheduler it
+   replaced ({!Reference.Executor}): every catalog scenario under every
+   level and every interleaving, and random fuzz workloads, give the same
+   history, statuses, final state, envs and counts — except where one
+   schedule breaks two or more deadlocks, where the two victim rules may
+   part and only the guarantees are compared. *)
 
 module A = History.Action
 module P = Phenomena.Phenomenon
@@ -113,7 +120,7 @@ let catalog_cases =
                   s.programs schedule
               in
               ( Fmt.str "%s at %s, schedule %d" s.id (L.name level) seed,
-                r.Core.Executor.history ))
+                r.Runtime.Executor.history ))
             [ 1; 2; 3 ])
         [ L.Degree_0; L.Read_committed; L.Snapshot; L.Serializable ])
     Workload.Catalog.all
@@ -347,6 +354,148 @@ let test_random_volume () =
          > 0))
     P.all
 
+(* {2 The step driver against the private scheduler} *)
+
+module E = Runtime.Executor
+module RE = Ref.Executor
+
+let ref_status = function
+  | RE.Committed -> E.Committed
+  | RE.Aborted r -> E.Aborted r
+
+(* Everything a run is guaranteed to give whatever victim rule broke its
+   deadlocks: every transaction terminated, a well-formed history, and
+   no phenomenon the (uniform) level forbids. *)
+let guarantees ~levels ~n history statuses =
+  List.length statuses = n
+  && History.is_complete history
+  && History.well_formed history = Ok ()
+  &&
+  match List.sort_uniq compare levels with
+  | [ level ] ->
+    List.for_all
+      (fun p -> not (Phenomena.Detect.occurs p history))
+      (Isolation.Spec.forbidden level)
+  | _ -> true
+
+(* Run both schedulers on one schedule; [None] when they agree. *)
+let driver_mismatch ?(first_updater_wins = false) ?(next_key_locking = false)
+    ?(update_locks = false) ~initial ~predicates levels programs schedule =
+  let r =
+    RE.run
+      (RE.config ~initial ~predicates ~first_updater_wins ~next_key_locking
+         ~update_locks levels)
+      programs ~schedule
+  in
+  let d =
+    E.run
+      (E.config ~initial ~predicates ~first_updater_wins ~next_key_locking
+         ~update_locks levels)
+      programs ~schedule
+  in
+  let n = List.length programs in
+  let why =
+    if r.RE.deadlock_aborts <= 1 then
+      if d.E.history <> r.RE.history then Some "history"
+      else if d.E.statuses <> List.map (fun (t, s) -> (t, ref_status s)) r.RE.statuses
+      then Some "statuses"
+      else if d.E.final <> r.RE.final then Some "final state"
+      else if d.E.envs <> r.RE.envs then Some "envs"
+      else if d.E.deadlock_aborts <> r.RE.deadlock_aborts then Some "deadlock aborts"
+      else if d.E.blocked_attempts <> r.RE.blocked_attempts then
+        Some "blocked attempts"
+      else None
+    else if not (guarantees ~levels ~n r.RE.history r.RE.statuses) then
+      Some "reference guarantees"
+    else if not (guarantees ~levels ~n d.E.history d.E.statuses) then
+      Some "driver guarantees"
+    else None
+  in
+  Option.map
+    (fun what ->
+      Fmt.str "%s differs under schedule %s:@.  reference %s@.  driver    %s"
+        what
+        (String.concat "" (List.map string_of_int schedule))
+        (History.to_string r.RE.history)
+        (History.to_string d.E.history))
+    why
+
+let check_agree name runs =
+  let n = ref 0 in
+  List.iter
+    (fun run ->
+      incr n;
+      match run () with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s: %s" name msg)
+    runs;
+  !n
+
+(* Every interleaving of every catalog scenario under each level. *)
+let catalog_runs ?first_updater_wins ?next_key_locking ?update_locks levels =
+  List.concat_map
+    (fun (s : Workload.Scenario.t) ->
+      let sizes = Sim.Interleave.sizes_of_programs s.programs in
+      List.concat_map
+        (fun level ->
+          let levels = List.map (fun _ -> level) s.programs in
+          List.map
+            (fun schedule () ->
+              Option.map
+                (fun m -> Fmt.str "%s at %s: %s" s.id (L.name level) m)
+                (driver_mismatch ?first_updater_wins ?next_key_locking
+                   ?update_locks ~initial:s.initial ~predicates:s.predicates
+                   levels s.programs schedule))
+            (Sim.Interleave.merges sizes))
+        levels)
+    Workload.Catalog.all
+
+(* First-updater-wins is a multiversion engine's policy; the other
+   engines ignore the flag, so its runs at their levels would repeat the
+   ones without it. *)
+let test_driver_catalog () =
+  let n = check_agree "catalog" (catalog_runs L.all) in
+  Alcotest.(check bool) (Fmt.str "%d runs" n) true (n > 50_000);
+  let mv = List.filter (fun l -> Isolation.Level.family l = `Mv) L.all in
+  ignore
+    (check_agree "first-updater-wins" (catalog_runs ~first_updater_wins:true mv)
+      : int)
+
+let test_driver_ablations () =
+  let locking = Locking.Protocol.locking_levels in
+  ignore
+    (check_agree "next-key locking" (catalog_runs ~next_key_locking:true locking)
+      : int);
+  ignore
+    (check_agree "update locks" (catalog_runs ~update_locks:true locking) : int)
+
+(* The fuzz generator's workloads: two to four random programs over
+   three keys and a random schedule, under every level. *)
+let test_driver_random () =
+  let initial = [ ("x", 10); ("y", 20); ("z", 30) ] in
+  let predicates = [ Storage.Predicate.all ] in
+  let runs =
+    List.concat_map
+      (fun seed ->
+        let rand = Random.State.make [| seed |] in
+        let txns = 2 + Random.State.int rand 3 in
+        let programs =
+          Workload.Generators.random_programs ~rand ~keys:[ "x"; "y"; "z" ]
+            ~txns ~ops:4 ()
+        in
+        let schedule = Workload.Generators.random_schedule ~rand programs in
+        List.map
+          (fun level () ->
+            Option.map
+              (fun m -> Fmt.str "seed %d at %s: %s" seed (L.name level) m)
+              (driver_mismatch ~initial ~predicates
+                 (List.map (fun _ -> level) programs)
+                 programs schedule))
+          L.all)
+      (List.init 2_000 Fun.id)
+  in
+  ignore (check_agree "random workloads" runs : int)
+
 let suite =
   [
     Alcotest.test_case "paper histories: every judge matches its reference"
@@ -361,4 +510,10 @@ let suite =
       `Quick test_small_verdicts;
     Alcotest.test_case "random histories carry every phenomenon at volume"
       `Quick test_random_volume;
+    Alcotest.test_case "step driver matches the private scheduler: catalog"
+      `Quick test_driver_catalog;
+    Alcotest.test_case "step driver matches the private scheduler: ablations"
+      `Quick test_driver_ablations;
+    Alcotest.test_case "step driver matches the private scheduler: fuzz"
+      `Quick test_driver_random;
   ]

@@ -3,7 +3,7 @@
 
 module P = Core.Program
 module L = Isolation.Level
-module Executor = Core.Executor
+module Executor = Runtime.Executor
 
 let t_inc k = P.make [ P.Read k; P.Write (k, P.read_plus k 1); P.Commit ]
 

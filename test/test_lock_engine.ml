@@ -7,7 +7,7 @@
 module P = Core.Program
 module L = Isolation.Level
 module Ph = Phenomena.Phenomenon
-module Executor = Core.Executor
+module Executor = Runtime.Executor
 module Predicate = Storage.Predicate
 
 let run = Support.run

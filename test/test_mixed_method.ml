@@ -6,7 +6,7 @@
 
 module P = Core.Program
 module L = Isolation.Level
-module Executor = Core.Executor
+module Executor = Runtime.Executor
 module Predicate = Storage.Predicate
 module Scenario = Workload.Scenario
 

@@ -104,9 +104,9 @@ let test_si_engine_trace_obeys_rules () =
       [ u 30; u 20 ] [ 1; 2; 2; 2; 1; 1 ]
   in
   Alcotest.(check bool) "snapshot reads" true
-    (Mv.snapshot_reads_respected r.Core.Executor.history);
+    (Mv.snapshot_reads_respected r.Runtime.Executor.history);
   Alcotest.(check bool) "first-committer-wins" true
-    (Mv.first_committer_wins_respected r.Core.Executor.history)
+    (Mv.first_committer_wins_respected r.Runtime.Executor.history)
 
 let suite =
   [

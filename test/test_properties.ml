@@ -6,7 +6,7 @@
 module P = Core.Program
 module L = Isolation.Level
 module Spec = Isolation.Spec
-module Executor = Core.Executor
+module Executor = Runtime.Executor
 module Generators = Workload.Generators
 module Predicate = Storage.Predicate
 

@@ -46,21 +46,21 @@ let reader = P.make [ P.Read "x"; P.Commit ]
 let test_ru_allows_cascading () =
   let r = run_level L.Read_uncommitted [ writer_then_abort; reader ] [ 1; 2; 2; 1 ] in
   Alcotest.(check bool) "not cascade-free" false
-    (R.avoids_cascading_aborts r.Core.Executor.history);
+    (R.avoids_cascading_aborts r.Runtime.Executor.history);
   Alcotest.(check bool) "still recoverable? no: reader committed first" false
-    (R.is_recoverable r.Core.Executor.history)
+    (R.is_recoverable r.Runtime.Executor.history)
 
 let test_rc_is_strict () =
   let r = run_level L.Read_committed [ writer_then_abort; reader ] [ 1; 2; 2; 1 ] in
   Alcotest.(check cls) "strict at READ COMMITTED" R.Strict
-    (R.classify r.Core.Executor.history)
+    (R.classify r.Runtime.Executor.history)
 
 let test_degree0_not_strict () =
   let w1 = P.make [ P.Write ("x", P.const 1); P.Commit ] in
   let w2 = P.make [ P.Write ("x", P.const 2); P.Commit ] in
   let r = run_level L.Degree_0 [ w1; w2 ] [ 1; 2; 1; 2 ] in
   Alcotest.(check bool) "dirty writes break strictness" false
-    (R.is_strict r.Core.Executor.history)
+    (R.is_strict r.Runtime.Executor.history)
 
 (* Property: every locking level from READ COMMITTED up produces strict
    histories on random workloads — the paper's Remark 3 rationale. *)
@@ -82,7 +82,7 @@ let prop_rc_and_up_strict =
           ~initial:[ ("x", 1); ("y", 2); ("z", 3) ]
           level programs schedule
       in
-      R.is_strict r.Core.Executor.history)
+      R.is_strict r.Runtime.Executor.history)
 
 (* Degree 1 (long write locks, no read locks): cascading reads possible,
    but histories stay recoverable or better only if readers commit after
@@ -102,7 +102,7 @@ let prop_ru_no_dirty_writes =
         Support.run ~initial:[ ("x", 1); ("y", 2) ] L.Read_uncommitted
           programs schedule
       in
-      not (Phenomena.Detect.occurs Phenomena.Phenomenon.P0 r.Core.Executor.history))
+      not (Phenomena.Detect.occurs Phenomena.Phenomenon.P0 r.Runtime.Executor.history))
 
 let suite =
   [

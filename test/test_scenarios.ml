@@ -4,7 +4,7 @@
    scenario is exhibitable at SERIALIZABLE. *)
 
 module L = Isolation.Level
-module Executor = Core.Executor
+module Executor = Runtime.Executor
 module Scenario = Workload.Scenario
 module Catalog = Workload.Catalog
 

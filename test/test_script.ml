@@ -97,7 +97,7 @@ let test_parse_initial () =
 let test_end_to_end () =
   let programs = ok (S.parse "r x; w x -= 40; r y; w y += 40 | r x; r y") in
   let cfg =
-    Core.Executor.config
+    Runtime.Executor.config
       ~initial:(ok (S.parse_initial "x=50, y=50"))
       [ Isolation.Level.Read_uncommitted; Isolation.Level.Read_uncommitted ]
   in
@@ -105,10 +105,10 @@ let test_end_to_end () =
      transaction has 7 and 3 attempts respectively ('+='/'-=' desugar to
      read-then-write, plus auto-commit). *)
   let r =
-    Core.Executor.run cfg programs ~schedule:[ 1; 1; 1; 2; 2; 2; 1; 1; 1; 1 ]
+    Runtime.Executor.run cfg programs ~schedule:[ 1; 1; 1; 2; 2; 2; 1; 1; 1; 1 ]
   in
   Alcotest.(check bool) "dirty read observed" true
-    (Phenomena.Detect.occurs Phenomena.Phenomenon.P1 r.Core.Executor.history)
+    (Phenomena.Detect.occurs Phenomena.Phenomenon.P1 r.Runtime.Executor.history)
 
 let suite =
   [

@@ -5,7 +5,7 @@
 
 module P = Core.Program
 module L = Isolation.Level
-module Executor = Core.Executor
+module Executor = Runtime.Executor
 module Predicate = Storage.Predicate
 
 let run ?(initial = [ ("x", 0); ("y", 0) ]) ?(predicates = []) programs schedule =

@@ -6,7 +6,7 @@
 module P = Core.Program
 module L = Isolation.Level
 module LT = Locking.Lock_table
-module Executor = Core.Executor
+module Executor = Runtime.Executor
 module Predicate = Storage.Predicate
 
 let granted = function LT.Granted -> true | LT.Conflict _ -> false
