@@ -448,18 +448,10 @@ let stripes_arg =
     value & opt int Runtime.Pool.default_stripes
     & info [ "stripes" ] ~docv:"N"
         ~doc:
-          "Key stripes for the striped execution path (locking engines; \
-           one extra stripe serializes predicate locking). Each engine step \
+          "Key stripes for the striped execution path (locking engines \
+           with more than one worker; one extra stripe serializes \
+           predicate locking). Each engine step \
            takes only the stripes its footprint touches.")
-
-let coarse_arg =
-  Arg.(
-    value & flag
-    & info [ "coarse" ]
-        ~doc:
-          "Serialize every engine step under one coarse latch (a single \
-           stripe with every footprint widened to the whole store) — the \
-           pre-striping behavior, kept as the comparison baseline.")
 
 let certify_arg =
   Arg.(
@@ -534,7 +526,7 @@ let trace_arg =
            $(b,isolation_lab explain).")
 
 let stress workers level levels_spec mix_name txns duration accounts hot ops
-    think seed fuw stripes coarse certify wal_dir
+    think seed fuw stripes certify wal_dir
     checkpoint_every history faults stall_us deadline_ms watchdog_ms
     crash_points crash_sample json_path trace_path telemetry_path =
   let mix = mix_or_exit mix_name in
@@ -610,8 +602,7 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
   in
   let cfg =
     Runtime.Pool.config ~workers ~initial ~first_updater_wins:fuw ~stripes
-      ~coarse ~think_us:think
-      ~seed ?trace:sink ~certify ~criterion ~family ?fault:plan
+      ~think_us:think ~seed ?trace:sink ~certify ~criterion ~family ?fault:plan
       ?deadline_us:(Option.map (fun ms -> ms *. 1000.) deadline_ms)
       ?watchdog_us:(Option.map (fun ms -> ms *. 1000.) watchdog_ms)
       ?wal_dir ~checkpoint_every ~keep_history ~stop ()
@@ -641,11 +632,12 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
     | Some d -> Printf.sprintf "%.2fs deadline" d
     | None -> Printf.sprintf "%d transactions" txns)
     accounts hot think seed
-    (* only the locking family runs striped; the multiversion and
-       timestamp engines step under one stripe *)
-    (if coarse then "coarse latch"
-     else if family <> `Locking then "1 stripe"
-     else Printf.sprintf "%d stripes" cfg.Runtime.Pool.stripes)
+    (* only the locking family with several workers runs striped; the
+       multiversion and timestamp engines, and a lone worker, step under
+       one stripe *)
+    (if family = `Locking && cfg.Runtime.Pool.workers > 1 then
+       Printf.sprintf "%d stripes" cfg.Runtime.Pool.stripes
+     else "1 stripe")
     (if Option.is_none plan && deadline_ms = None && watchdog_ms = None then ""
      else
        Printf.sprintf ", fault rate %g, %s deadline, %s watchdog" faults
@@ -694,9 +686,10 @@ let stress workers level levels_spec mix_name txns duration accounts hot ops
           telemetry_threads := th :: !telemetry_threads)
   in
   let r =
-    match duration with
-    | Some d -> Runtime.Pool.run_for ?monitor cfg ~duration_s:d ~gen
-    | None -> Runtime.Pool.run_n ?monitor cfg ~txns ~gen
+    (* a --duration run is bounded by its deadline alone *)
+    Runtime.Pool.run_for ?monitor
+      ?txns:(if duration = None then Some txns else None)
+      ?duration_s:duration cfg ~gen
   in
   telemetry_stop := true;
   List.iter Thread.join !telemetry_threads;
@@ -974,7 +967,7 @@ let stress_cmd =
     Term.(
       const stress $ workers_arg $ level_arg $ levels_spec_arg $ mix_arg
       $ txns_arg $ duration_arg $ accounts_arg $ hot_arg $ ops_arg $ think_arg
-      $ seed_arg $ fuw_arg $ stripes_arg $ coarse_arg $ certify_arg
+      $ seed_arg $ fuw_arg $ stripes_arg $ certify_arg
       $ wal_dir_arg $ checkpoint_arg $ history_arg $ faults_arg $ stall_us_arg
       $ deadline_arg $ watchdog_arg $ crash_points_arg $ crash_sample_arg
       $ json_arg $ trace_arg $ telemetry_arg)
@@ -1078,7 +1071,7 @@ let family_name = function
   | `Timestamp -> "timestamp"
 
 let serve workers family_str level criterion_str port host accounts stripes
-    coarse certify certify_batch wal_dir checkpoint_every history
+    certify wal_dir checkpoint_every history
     duration drain_grace seed disconnect_rate trace_path json_path
     telemetry_port =
   let family =
@@ -1120,7 +1113,7 @@ let serve workers family_str level criterion_str port host accounts stripes
   let pool =
     Runtime.Pool.config ~workers
       ~initial:(Workload.Generators.bank_accounts accounts)
-      ~stripes ~coarse ~certify ~certify_batch ~criterion ~seed
+      ~stripes ~certify ~criterion ~seed
       ?trace:sink ?fault ?wal_dir ~checkpoint_every ~keep_history ()
   in
   let cfg =
@@ -1194,14 +1187,6 @@ let serve_cmd =
              each cycle against the victim's declared level (Table 4) and \
              aborts only transactions whose own level forbids the structure.")
   in
-  let certify_batch_arg =
-    Arg.(
-      value & opt bool true
-      & info [ "certify-batch" ] ~docv:"BOOL"
-          ~doc:
-            "Batch certifier edge offers outside the engine trace lock \
-             (default true; false restores the unbatched feed).")
-  in
   let drain_grace_arg =
     Arg.(
       value & opt float 2.0
@@ -1236,8 +1221,8 @@ let serve_cmd =
     Term.(
       const serve $ workers_arg $ family_arg $ level_arg $ criterion_arg
       $ port_arg "Listen port (0 picks one)." $ host_arg "Listen address."
-      $ accounts_arg $ stripes_arg $ coarse_arg $ certify_arg
-      $ certify_batch_arg $ wal_dir_arg $ checkpoint_arg
+      $ accounts_arg $ stripes_arg $ certify_arg $ wal_dir_arg
+      $ checkpoint_arg
       $ history_arg $ duration_arg $ drain_grace_arg $ seed_arg
       $ disconnect_arg $ trace_arg $ json_arg $ telemetry_port_arg)
 

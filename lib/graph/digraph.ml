@@ -1,46 +1,32 @@
-(* Shard-hashed mutable adjacency. A node's successor and predecessor
-   sets live in the shard [id land mask]; an edge a->b touches shard(a)'s
-   successors and shard(b)'s predecessors. Sharding keeps the hash tables
-   small and independent as tids grow into the tens of thousands. *)
+(* Mutable adjacency: one hash table of successor sets and one of
+   predecessor sets, keyed by node id; an edge a->b touches a's
+   successors and b's predecessors. *)
 
 module Int_set = Set.Make (Int)
 
-type shard = {
+type t = {
   succ : (int, Int_set.t) Hashtbl.t;
   pred : (int, Int_set.t) Hashtbl.t;
+  mutable edges : int;
 }
 
-type t = { shards : shard array; mask : int; mutable edges : int }
-
-let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
-
-let create ?(shards = 16) () =
-  let n = pow2 (max 1 shards) 1 in
-  {
-    shards = Array.init n (fun _ ->
-        { succ = Hashtbl.create 64; pred = Hashtbl.create 64 });
-    mask = n - 1;
-    edges = 0;
-  }
-
-let shard g n = g.shards.((n land max_int) land g.mask)
+let create () = { succ = Hashtbl.create 64; pred = Hashtbl.create 64; edges = 0 }
 
 let add_node g n =
-  let s = shard g n in
-  if not (Hashtbl.mem s.succ n) then begin
-    Hashtbl.replace s.succ n Int_set.empty;
-    Hashtbl.replace s.pred n Int_set.empty
+  if not (Hashtbl.mem g.succ n) then begin
+    Hashtbl.replace g.succ n Int_set.empty;
+    Hashtbl.replace g.pred n Int_set.empty
   end
 
-let mem_node g n = Hashtbl.mem (shard g n).succ n
+let mem_node g n = Hashtbl.mem g.succ n
 
 let succ_set g n =
-  match Hashtbl.find_opt (shard g n).succ n with
+  match Hashtbl.find_opt g.succ n with
   | Some s -> s
   | None -> Int_set.empty
 
 let pred_set g n =
-  match Hashtbl.find_opt (shard g n).pred n with
+  match Hashtbl.find_opt g.pred n with
   | Some s -> s
   | None -> Int_set.empty
 
@@ -51,16 +37,16 @@ let add_edge g a b =
   add_node g b;
   let sa = succ_set g a in
   if not (Int_set.mem b sa) then begin
-    Hashtbl.replace (shard g a).succ a (Int_set.add b sa);
-    Hashtbl.replace (shard g b).pred b (Int_set.add a (pred_set g b));
+    Hashtbl.replace g.succ a (Int_set.add b sa);
+    Hashtbl.replace g.pred b (Int_set.add a (pred_set g b));
     g.edges <- g.edges + 1
   end
 
 let remove_edge g a b =
   let sa = succ_set g a in
   if Int_set.mem b sa then begin
-    Hashtbl.replace (shard g a).succ a (Int_set.remove b sa);
-    Hashtbl.replace (shard g b).pred b (Int_set.remove a (pred_set g b));
+    Hashtbl.replace g.succ a (Int_set.remove b sa);
+    Hashtbl.replace g.pred b (Int_set.remove a (pred_set g b));
     g.edges <- g.edges - 1
   end
 
@@ -71,21 +57,17 @@ let remove_node g n =
   if mem_node g n then begin
     remove_out_edges g n;
     Int_set.iter (fun p -> remove_edge g p n) (pred_set g n);
-    Hashtbl.remove (shard g n).succ n;
-    Hashtbl.remove (shard g n).pred n
+    Hashtbl.remove g.succ n;
+    Hashtbl.remove g.pred n
   end
 
 let succs g n = Int_set.elements (succ_set g n)
 let preds g n = Int_set.elements (pred_set g n)
 
 let nodes g =
-  Array.fold_left
-    (fun acc s -> Hashtbl.fold (fun n _ acc -> n :: acc) s.succ acc)
-    [] g.shards
-  |> List.sort compare
+  Hashtbl.fold (fun n _ acc -> n :: acc) g.succ [] |> List.sort compare
 
-let node_count g =
-  Array.fold_left (fun acc s -> acc + Hashtbl.length s.succ) 0 g.shards
+let node_count g = Hashtbl.length g.succ
 
 let edge_count g = g.edges
 

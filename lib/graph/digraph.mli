@@ -1,8 +1,7 @@
 (** Mutable directed graphs over integer-identified nodes (transaction
-    ids), with adjacency stored in a fixed array of hash shards keyed by
-    [id mod shards]. The offline queries below (cycle witness,
-    topological sort) serve the per-history analyses — dependency
-    graphs, the MVSG, the deterministic executor's waits-for check. The
+    ids), with successor and predecessor sets in hash tables. The
+    offline queries below (cycle witness, topological sort) serve the
+    per-history analyses — dependency graphs and the MVSG. The
     long-running consumers (the waits-for graph, the online certifier)
     use {!Incremental} instead, which keeps its own adjacency; the
     deletions here let tests mirror it.
@@ -12,8 +11,7 @@
 
 type t
 
-val create : ?shards:int -> unit -> t
-(** [shards] is rounded up to a power of two; default 16. *)
+val create : unit -> t
 
 val add_node : t -> int -> unit
 (** Idempotent. *)

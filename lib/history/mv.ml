@@ -142,7 +142,7 @@ let adjacency ~every_later h =
 let mvsg h =
   let nodes, succs = adjacency ~every_later:true h in
   (* one shard: the graph serves a single query *)
-  let g = Digraph.create ~shards:1 () in
+  let g = Digraph.create () in
   List.iter
     (fun n ->
       Digraph.add_node g n;

@@ -138,7 +138,6 @@ type t = {
   mode : mode;
   family : family;
   criterion : criterion;
-  batch : bool;
   buf_m : Mutex.t;                  (* guards [buf] only; taken after [m] *)
   mutable buf : Action.t list;      (* offered actions, reversed *)
   g : Graph.Incremental.t;
@@ -193,13 +192,12 @@ type t = {
 
 let max_stored_violations = 64
 
-let create ?on_edge ?on_cycle ?(batch = false) ?(prune_every = 0)
+let create ?on_edge ?on_cycle ?(prune_every = 0)
     ?(criterion = Serializability) ~mode ~family () =
   {
     mode;
     family;
     criterion;
-    batch;
     buf_m = Mutex.create ();
     buf = [];
     g = Graph.Incremental.create ();
@@ -970,11 +968,11 @@ let observe_locked t (a : Action.t) =
       mv_purge t tid;
       Graph.Incremental.remove_node t.g tid)
 
-(* Batched mode trades the heavy graph work out of the caller's critical
-   section (the engine trace lock) for a two-mutex dance: [observe] only
+(* The feed keeps the heavy graph work out of the caller's critical
+   section (the engine trace lock) with a two-mutex dance: [observe] only
    appends under the tiny [buf_m] — appends arrive in history order
    because the engine serializes its trace hook — and the graph catches
-   up on the next [flush]/[doomed]/[finalize]. Lock order is [m] then
+   up on the next [flush]/[doomed]/[mv_trim]/[finalize]. Lock order is [m] then
    [buf_m]: a flusher takes the graph lock first, so concurrent flushers
    drain whole prefixes in order and the replayed sequence equals the
    recorded history. *)
@@ -986,14 +984,11 @@ let drain_locked t =
   List.iter (observe_locked t) pending
 
 let observe t _pos a =
-  if t.batch then begin
-    Mutex.lock t.buf_m;
-    t.buf <- a :: t.buf;
-    Mutex.unlock t.buf_m
-  end
-  else locked t (fun () -> observe_locked t a)
+  Mutex.lock t.buf_m;
+  t.buf <- a :: t.buf;
+  Mutex.unlock t.buf_m
 
-let flush t = if t.batch then locked t (fun () -> drain_locked t)
+let flush t = locked t (fun () -> drain_locked t)
 
 (* Vacuum retirement (the engine's prune hook, multiversion family): the
    engine buried these (key, writer) versions at the oldest-active-
@@ -1008,7 +1003,7 @@ let flush t = if t.batch then locked t (fun () -> drain_locked t)
    collects the writers themselves. *)
 let mv_trim t ~buried =
   locked t (fun () ->
-      if t.batch then drain_locked t;
+      drain_locked t;
       List.iter
         (fun (k, w) ->
           match Hashtbl.find_opt t.keys_mv k with
@@ -1032,7 +1027,7 @@ let mv_trim t ~buried =
    caught by a later poll. *)
 let doomed ?(wait = false) t tid =
   let exact () =
-    if t.batch then drain_locked t;
+    drain_locked t;
     Itbl.mem t.doomed_tbl tid
   in
   if wait then
@@ -1070,13 +1065,10 @@ type stats = {
 
 let stats t =
   let queue =
-    if not t.batch then 0
-    else begin
-      Mutex.lock t.buf_m;
-      let n = List.length t.buf in
-      Mutex.unlock t.buf_m;
-      n
-    end
+    Mutex.lock t.buf_m;
+    let n = List.length t.buf in
+    Mutex.unlock t.buf_m;
+    n
   in
   locked t (fun () ->
       {
@@ -1115,7 +1107,7 @@ let stats t =
    discoverable here. [mixed_ok] is this replay finding no harm. *)
 let finalize t =
   locked t (fun () ->
-      if t.batch then drain_locked t;
+      drain_locked t;
       let stragglers =
         Itbl.fold
           (fun n st acc -> if st = Active then n :: acc else acc)
@@ -1212,7 +1204,7 @@ let replay ?(mode = Observe) ?family ?(criterion = Serializability)
   in
   let t = create ~mode ~family ~criterion () in
   List.iter (fun (tid, level) -> note_level t ~tid ~level) levels;
-  List.iteri (fun i a -> observe t i a) h;
+  locked t (fun () -> List.iter (observe_locked t) h);
   finalize t
 
 (* {2 Printing} *)

@@ -97,7 +97,6 @@ type t
 val create :
   ?on_edge:(src:int -> dst:int -> dep:string -> unit) ->
   ?on_cycle:(violation -> unit) ->
-  ?batch:bool ->
   ?prune_every:int ->
   ?criterion:criterion ->
   mode:mode ->
@@ -109,13 +108,14 @@ val create :
     section, so keep them cheap (the pool uses them to emit
     [Dep_edge] / [Dep_cycle] trace events).
 
-    With [~batch:true] (default false), {!observe} only appends the
-    action to a small buffer — shrinking the caller's critical section
-    (the engine trace lock) to a list cons — and the dependency-graph
-    work happens on the next {!flush}, {!doomed} poll or {!finalize}.
-    Buffer order equals history order because the engine serializes its
-    trace hook, so verdicts are unchanged; only the locus of the work
-    moves.
+    {!observe} only appends the action to a small buffer — shrinking
+    the caller's critical section (the engine trace lock) to a list
+    cons — and the dependency-graph work happens on the next {!flush},
+    {!doomed} poll, {!mv_trim} or {!finalize}, so a reading taken right
+    after {!observe} ({!stats}, a callback count) needs a {!flush}
+    first. Buffer order equals history order because the engine
+    serializes its trace hook, so the graph sees the history in its
+    recorded order.
 
     [prune_every] > 0 (default 0, off) bounds memory for long
     single-version runs: every that many commits, settled era-stack
@@ -136,13 +136,13 @@ val note_level : t -> tid:int -> level:Isolation.Level.t -> unit
 
 val observe : t -> int -> History.Action.t -> unit
 (** Feed one action, in history order; the [int] is its position
-    (matching the {!Core.Engine.set_trace_hook} signature). Safe to call
+    (matching the {!Core.Engine.set_trace_hook} signature). It is
+    buffered until the next drain (see {!create}). Safe to call
     concurrently with {!doomed}. *)
 
 val flush : t -> unit
-(** Drain buffered actions into the graph ([~batch:true] only; a no-op
-    otherwise). {!doomed} and {!finalize} flush implicitly, so calling
-    this is an optimisation, not a correctness requirement. *)
+(** Drain buffered actions into the graph. {!doomed}, {!mv_trim} and
+    {!finalize} drain implicitly; {!stats} does not. *)
 
 val mv_trim : t -> buried:(string * int) list -> unit
 (** Retire multiversion version-order entries: [buried] is the exact

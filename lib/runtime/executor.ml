@@ -53,9 +53,9 @@ type result = {
 let committed_txns r =
   List.filter_map (fun (t, s) -> if s = Committed then Some t else None) r.statuses
 
-(* One worker and one latch: the driver is the only caller, so no step
-   contends and none needs its footprint worked out. *)
-let pool_config = Pool.config ~workers:1 ~coarse:true ()
+(* One worker, hence one latch: the driver is the only caller, so no
+   step contends and none needs its footprint worked out. *)
+let pool_config = Pool.config ~workers:1 ()
 
 let run cfg programs ~schedule =
   let n = List.length programs in

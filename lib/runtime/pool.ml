@@ -10,7 +10,7 @@
      names, in ascending index order — so point reads and writes of keys
      in different shards run concurrently, while scans, commits, aborts
      and everything the engine cannot localize acquire every stripe,
-     which is exactly the old coarse latch. Ascending acquisition makes
+     which excludes every other step. Ascending acquisition makes
      the stripe mutexes themselves deadlock-free; the ordering "key
      stripe then predicate stripe" falls out because the predicate
      stripe has the highest index.
@@ -24,12 +24,12 @@
      executed. Non-conflicting actions may be recorded in either order;
      both orders are correct linearizations.
 
-     [coarse = true] (the comparison baseline, and the automatic
-     mode for the single-threaded multiversion and timestamp engines)
-     degenerates the set to one key stripe with every footprint forced
-     to All: every step, and every all-stripes holder, takes stripe 0
-     alone, so the unified code path behaves exactly like the old
-     single latch.
+     The single-threaded multiversion and timestamp engines, and a
+     locking engine stepped by one worker, degenerate the set to one
+     key stripe with every footprint forced to All: every step, and
+     every all-stripes holder, takes stripe 0 alone, a single latch on
+     the same code path. A lone stepping thread never contends, so it
+     skips the footprint work.
 
    - Workers never sleep while holding a stripe. A step that comes back
      [Blocked] releases its stripes and its caller waits until the wake it
@@ -47,8 +47,8 @@
      reporting worker then takes the detector mutex plus every stripe,
      re-checks that the witness path still stands (edges can go
      conservatively stale between a holder's release and the waiter's
-     next poll — exactly as under the old coarse latch, where a broken
-     "cycle" of that kind also cost one innocent restart), and aborts
+     next poll — as under a single latch, where a broken "cycle" of
+     that kind also costs one innocent restart), and aborts
      the youngest (highest-id) member, possibly the transaction of
      another worker. The victim's worker observes the abort on its next
      step ([Finished]) and restarts the job under a fresh transaction
@@ -114,7 +114,6 @@ type config = {
   family : [ `Locking | `Mv | `Timestamp ] option;
   first_updater_wins : bool;
   stripes : int;
-  coarse : bool;
   think_us : float;
   oracle_phenomena : Phenomena.Phenomenon.t list;
   seed : int;
@@ -125,7 +124,6 @@ type config = {
   certify : bool;                (* online certification: doom cycle closers *)
   criterion : Certifier.criterion; (* what the certifier certifies *)
   levels : Level.t list;         (* declared level mix, for family inference *)
-  certify_batch : bool;          (* buffer certifier offers outside the trace lock *)
   prune_every : int;             (* certifier era-pruning cadence; 0 = off *)
   wal_dir : string option;       (* segmented on-disk WAL; None = in-memory *)
   wal_segment_bytes : int option;(* segment rotation threshold *)
@@ -144,12 +142,12 @@ let max_op_retries = 10_000
 let default_stripes = 16
 
 let config ?(workers = 4) ?(initial = []) ?(predicates = []) ?family
-    ?(first_updater_wins = false) ?(stripes = default_stripes) ?(coarse = false)
+    ?(first_updater_wins = false) ?(stripes = default_stripes) ?coarse:_
     ?(think_us = 0.)
     ?(oracle_phenomena = Phenomena.Phenomenon.all) ?oracle_window:_ ?(seed = 1)
     ?trace ?fault ?deadline_us ?watchdog_us ?(certify = false)
     ?(criterion = Certifier.Serializability) ?(levels = [])
-    ?(certify_batch = true) ?(prune_every = 4096) ?wal_dir ?wal_segment_bytes
+    ?certify_batch:_ ?(prune_every = 4096) ?wal_dir ?wal_segment_bytes
     ?(checkpoint_every = 0) ?(keep_history = true)
     ?spill_dir:_ ?stop () =
   {
@@ -159,7 +157,6 @@ let config ?(workers = 4) ?(initial = []) ?(predicates = []) ?family
     family;
     first_updater_wins;
     stripes = max 1 stripes;
-    coarse;
     think_us = Float.max 0. think_us;
     oracle_phenomena;
     seed;
@@ -170,7 +167,6 @@ let config ?(workers = 4) ?(initial = []) ?(predicates = []) ?family
     certify;
     criterion;
     levels;
-    certify_batch;
     prune_every = max 0 prune_every;
     wal_dir;
     wal_segment_bytes;
@@ -223,7 +219,7 @@ type shared = {
   nstripes : int;      (* key stripes; the predicate stripe is index nstripes *)
   all : int list;      (* the plan that excludes every step: every stripe,
                           or stripe 0 alone when every step takes it *)
-  coarse : bool;       (* force the All plan for every step *)
+  striped : bool;      (* false: every step takes the All plan *)
   serial_aux : bool;   (* begin/status need the full stripe set (Mv/TO) *)
   waits : Waits.t;     (* the incremental waits-for graph *)
   wakes : wakes;       (* per-tid wake callbacks of open transactions *)
@@ -270,8 +266,9 @@ let stripe_plan ~stripes (fp : Engine.footprint) =
 let all_plan sh = sh.all
 
 let plan_for sh tid op =
-  if sh.coarse then all_plan sh
-  else stripe_plan ~stripes:sh.nstripes (Engine.footprint sh.engine tid op)
+  if sh.striped then
+    stripe_plan ~stripes:sh.nstripes (Engine.footprint sh.engine tid op)
+  else all_plan sh
 
 (* The serial engines' latch (every stripe, every step) guards critical
    sections shorter than a futex round trip, so a contended acquire spins
@@ -429,12 +426,11 @@ let with_aux_exclusion sh ~tid f =
    certifier/tear/lock hooks — everything the step interface below
    needs, up to and including [Metrics.start]. *)
 let make_shared ?next_key_locking ?update_locks (cfg : config) ~family =
-  (* Only the locking engine is striped; the multiversion and timestamp
-     engines stay single-threaded and run every step (and begin/status)
-     under the full stripe set — behaviorally the old coarse latch.
-     [cfg.coarse] forces the same degenerate shape onto the locking
-     engine for baseline comparison. *)
-  let striped = family = `Locking && not cfg.coarse in
+  (* Only the locking engine is striped, and only when several workers
+     step it; the multiversion and timestamp engines stay single-threaded
+     and run every step (and begin/status) under one latch, and so does
+     a lone worker, which has nothing to contend with. *)
+  let striped = family = `Locking && cfg.workers > 1 in
   let nstripes = if striped then cfg.stripes else 1 in
   let engine =
     Engine.create ~initial:cfg.initial ~predicates:cfg.predicates
@@ -471,9 +467,8 @@ let make_shared ?next_key_locking ?update_locks (cfg : config) ~family =
         Option.iter (wake_tid wakes) v.doomed
       in
       Some
-        (Certifier.create ?on_edge ~on_cycle ~batch:cfg.certify_batch
-           ~prune_every:cfg.prune_every ~mode:Certifier.Enforce
-           ~criterion:cfg.criterion ~family ())
+        (Certifier.create ?on_edge ~on_cycle ~prune_every:cfg.prune_every
+           ~mode:Certifier.Enforce ~criterion:cfg.criterion ~family ())
     end
   in
   let sh =
@@ -482,7 +477,7 @@ let make_shared ?next_key_locking ?update_locks (cfg : config) ~family =
       stripes = Stripes.create (nstripes + 1);
       nstripes;
       all = (if striped then List.init (nstripes + 1) Fun.id else [ 0 ]);
-      coarse = not striped;
+      striped;
       serial_aux = family <> `Locking;
       waits = Waits.create ();
       wakes;
@@ -1060,27 +1055,27 @@ let family_for cfg ~gen =
 let draining cfg =
   match cfg.stop with Some s -> Atomic.get s | None -> false
 
-(* Counted generator runs: jobs are generated on demand, so a
-   million-transaction run holds only the jobs in flight. *)
-let run_n ?monitor cfg ~txns ~gen =
+(* The batch driver. Jobs are generated on demand, so a
+   million-transaction run holds only the jobs in flight; the run stops
+   at whichever bound comes first: [txns] jobs handed out, the
+   [duration_s] deadline, or the drain flag. *)
+let run_for ?monitor ?txns ?duration_s cfg ~gen =
+  if txns = None && duration_s = None && cfg.stop = None then
+    invalid_arg "Pool.run_for: no ~txns, no ~duration_s and no stop flag";
   let family = family_for cfg ~gen in
+  let txns = Option.value txns ~default:max_int in
+  let expired =
+    match duration_s with
+    | None -> fun () -> false
+    | Some d ->
+      let deadline = Unix.gettimeofday () +. d in
+      fun () -> Unix.gettimeofday () >= deadline
+  in
   let next = Atomic.make 0 in
   let next_job () =
-    if draining cfg then None
+    if draining cfg || expired () then None
     else
       let i = Atomic.fetch_and_add next 1 in
       if i < txns then Some (i, gen i) else None
-  in
-  run_with cfg ?monitor ~family ~next_job
-
-let run_for ?monitor cfg ~duration_s ~gen =
-  let family = family_for cfg ~gen in
-  let deadline = Unix.gettimeofday () +. duration_s in
-  let next = Atomic.make 0 in
-  let next_job () =
-    if draining cfg || Unix.gettimeofday () >= deadline then None
-    else
-      let i = Atomic.fetch_and_add next 1 in
-      Some (i, gen i)
   in
   run_with cfg ?monitor ~family ~next_job

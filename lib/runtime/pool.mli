@@ -13,19 +13,18 @@
     concurrently while scans, commits and aborts take every stripe.
     Conflicting steps always share a stripe, which is what keeps the
     recorded history conflict-faithful (see {!field:result.history}).
-    [coarse = true] collapses the set to a single latch through the same
-    code path; the single-threaded multiversion and timestamp engines
-    always run that way.
+    The single-threaded multiversion and timestamp engines, and a
+    locking engine with [workers = 1], collapse the set to a single
+    latch through the same code path: every step takes the one stripe.
 
     Every transaction runs through one step path, the step interface
     below ({!exec_begin}, {!exec_step}, {!exec_finish}); the batch
-    entry points ({!run_n}, {!run_for}) are its clients, as are the wire
-    server and the deterministic driver {!Executor}. A blocked
-    transaction waits *outside* its stripes until a transaction it
-    waits on terminates, so lock waits in the engine never idle the
-    other workers. A batch worker parks its domain; the server parks
-    the session; the driver retries the operation when its schedule
-    next names the transaction.
+    driver {!run_for} is one client, as are the wire server and the
+    deterministic driver {!Executor}. A blocked transaction waits
+    *outside* its stripes until a transaction it waits on terminates,
+    so lock waits in the engine never idle the other workers. A batch
+    worker parks its domain; the server parks the session; the driver
+    retries the operation when its schedule next names the transaction.
 
     The waits-for graph is a {!Graph.Incremental}: a blocked step
     publishes its edges under its stripes, and the insertion that would
@@ -90,11 +89,8 @@ type config = {
   first_updater_wins : bool;
   stripes : int;
       (** key stripes for the striped execution path (locking engines
-          only; plus one implicit predicate stripe). Default 16. *)
-  coarse : bool;
-      (** force the old coarse-latch behavior: one stripe, every
-          footprint treated as All. The comparison baseline for the
-          striped path. *)
+          with [workers > 1] only; plus one implicit predicate stripe).
+          Default 16. *)
   think_us : float;
       (** mean think time slept (holding no stripes) between a
           transaction's operations. 0 measures raw engine throughput, but
@@ -150,14 +146,6 @@ type config = {
           hand). A cross-family mix is rejected up front with an error
           naming the offending levels, instead of crashing mid-stream
           on the first cross-family draw. *)
-  certify_batch : bool;
-      (** batch certifier edge offers (default true): the trace hook only
-          buffers each action, shrinking the engine's recorder critical
-          section to a list cons, and the dependency-graph work happens
-          at the workers' next {!Certifier.doomed} poll that finds the
-          certifier free (every commit's poll waits for it) instead of
-          inside the trace lock. Verdicts are identical; [false]
-          restores the unbatched feed. *)
   prune_every : int;
       (** certifier era-pruning cadence (default 4096, 0 = off): every
           that many commits the certifier trims settled era-stack
@@ -224,8 +212,11 @@ val config :
   ?stop:bool Atomic.t ->
   unit ->
   config
-(** [oracle_window] and [spill_dir] are accepted and ignored: the
-    post-run oracle always judges the whole history, the attempt journal
+(** [coarse], [certify_batch], [oracle_window] and [spill_dir] are
+    accepted and ignored. Steps take a single latch exactly when the
+    family is multiversion or timestamp ordering or [workers = 1], and
+    stripes otherwise; the certifier feed is always batched; the
+    post-run oracle always judges the whole history; the attempt journal
     lives in memory, and a run without history keeps none. *)
 
 (** {2 Live observation}
@@ -254,8 +245,7 @@ type result = {
       (** the engine trace of the whole run. Conflicting actions always
           executed under a common stripe, so the trace orders every
           conflicting pair exactly as it happened — a conflict-faithful
-          linearization (and under [coarse], where every step held the
-          single latch, a true one). *)
+          linearization (and under a single latch, a true one). *)
   final : (Action.key * Action.value) list;
   metrics : Metrics.snapshot;
   journal : Recorder.entry list;
@@ -299,26 +289,22 @@ val stripe_plan : stripes:int -> Core.Engine.footprint -> int list
     the predicate stripe at index [stripes] (always last), at least one
     stripe always. Exposed for tests; the pool uses exactly this plan. *)
 
-val run_n :
-  ?monitor:((unit -> live) -> unit) ->
-  config -> txns:int -> gen:(int -> job) -> result
-(** Execute [txns] jobs to completion: workers call [gen] with indices
-    [0 .. txns - 1] and stop, holding only the jobs in flight (a fixed
-    array of jobs runs as [~gen:(Array.get jobs)]). [gen] is called
-    concurrently and must be pure. With [config.family = None] and no
-    [config.levels] the family is inferred from [gen 0]. [monitor], if
-    given, is called once after the workers have started, with a sampler
-    that can be polled from any thread for the duration of the run
-    (spawn a thread; the callback itself must return promptly — the
-    calling domain becomes worker 0). The sampler must not be used after
-    the run returns. *)
-
 val run_for :
   ?monitor:((unit -> live) -> unit) ->
-  config -> duration_s:float -> gen:(int -> job) -> result
-(** Open-ended run: workers call [gen] with increasing indices until the
-    deadline passes. [gen], family inference and [monitor] as in
-    {!run_n}. *)
+  ?txns:int -> ?duration_s:float -> config -> gen:(int -> job) -> result
+(** The batch driver: workers call [gen] with increasing indices and
+    stop at whichever bound comes first: [txns] jobs handed out, the
+    [duration_s] deadline, or [config.stop]. Only the jobs in flight are
+    held (a fixed array of jobs runs as [~txns:(Array.length jobs)
+    ~gen:(Array.get jobs)]). [gen] is called concurrently and must be
+    pure. With [config.family = None] and no [config.levels] the family
+    is inferred from [gen 0]. [monitor], if given, is called once after
+    the workers have started, with a sampler that can be polled from any
+    thread for the duration of the run (spawn a thread; the callback
+    itself must return promptly — the calling domain becomes worker 0).
+    The sampler must not be used after the run returns.
+    @raise Invalid_argument if neither [txns] nor [duration_s] is given
+    and [config.stop] is [None]. *)
 
 (** {2 The step interface}
 
@@ -327,8 +313,8 @@ val run_for :
     deadlock break, starvation valve, fault / certifier / deadline
     consultation, metrics, journal, trace. A blocked step returns the
     wait to its caller rather than sleeping through it, and the caller
-    waits for the wake it registered at {!exec_begin}: the batch entry
-    points above park the worker's domain on it; a server multiplexing
+    waits for the wake it registered at {!exec_begin}: the batch driver
+    above parks the worker's domain on it; a server multiplexing
     sessions ≫ workers parks the blocked session, serves runnable ones,
     and resumes it when the wake fires. The caller (a batch worker, or
     the session scheduler in [lib/server]) owns per-transaction

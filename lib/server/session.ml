@@ -129,23 +129,6 @@ let outcome_response = function
   | Runtime.Recorder.Aborted reason ->
     Protocol.Aborted (Runtime.Metrics.abort_reason_slug reason)
 
-(* Abort whatever is open (client vanished or server force-drains):
-   journal the attempt, send nothing. *)
-let force_close t ~worker =
-  (match t.txn with
-  | Some txn ->
-    Pool.exec_abort t.exec ~tid:txn.tid;
-    ignore (finish_txn t ~worker txn)
-  | None -> ());
-  if not t.closed then begin
-    Mutex.lock t.inbox_m;
-    t.closed <- true;
-    Queue.clear t.inbox;
-    Mutex.unlock t.inbox_m;
-    t.emit ~tid:0 (Trace.Event.Session_close { session = t.gid; txns = t.txns });
-    t.on_close t
-  end
-
 (* {2 Stepping one engine operation}
 
    Outcome: [`Done] (responded — continue with the inbox), [`Park]

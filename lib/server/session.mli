@@ -51,8 +51,3 @@ val pump : t -> worker:int -> Scheduler.outcome
 (** Serve the pending operation and then the inbox; the scheduler's pump
     function. *)
 
-val force_close : t -> worker:int -> unit
-(** Abort any open transaction and close without replies — the client
-    disconnected or the server is force-draining. Safe to call from a
-    pump context only (same ownership rule as {!pump}); the frontend
-    wraps it in a synthetic Close when calling cross-thread. *)

@@ -520,7 +520,7 @@ module Mv = struct
   let mvsg h =
     let hc = Conflict.project_committed h in
     (* one shard: the graph serves a single query *)
-    let g = Digraph.create ~shards:1 () in
+    let g = Digraph.create () in
     Digraph.add_node g 0;
     List.iter (fun t -> Digraph.add_node g t) (Hist.committed h);
     let keys = Hist.keys hc in
@@ -734,7 +734,7 @@ module Executor = struct
     in
     let waits_cycle () =
       (* one shard: the graph serves a single query *)
-      let g = Digraph.create ~shards:1 () in
+      let g = Digraph.create () in
       Hashtbl.iter
         (fun t holders -> List.iter (fun h -> Digraph.add_edge g t h) holders)
         waits;

@@ -139,7 +139,7 @@ let test_doom_poll_contract () =
     end
   in
   let c =
-    Cert.create ~on_edge ~batch:true ~mode:Cert.Enforce ~family:`Locking ()
+    Cert.create ~on_edge ~mode:Cert.Enforce ~family:`Locking ()
   in
   let feed s = List.iteri (fun i a -> Cert.observe c i a) (h s) in
   (* T1 closes the first triangle; a waiting poll drains and publishes. *)
@@ -208,6 +208,7 @@ let test_commit_poll_seal () =
   Alcotest.(check int) "no cycle yet" 0 (Cert.stats c).Cert.s_cycles;
   (* T3's commit orders x2 before x3: ww T2 -> T3 closes the cycle *)
   feed [ A.commit 3 ];
+  Cert.flush c;
   let s = Cert.stats c in
   Alcotest.(check int) "the commit closes one cycle" 1 s.Cert.s_cycles;
   Alcotest.(check bool) "the cleared T1 is not doomed" false
@@ -260,7 +261,7 @@ let run_pool ?(certify = false) ~level ~seed () =
       ~initial:(Generators.bank_accounts 8)
       ~think_us:10. ~seed ~certify ()
   in
-  Pool.run_n cfg ~txns:24 ~gen
+  Pool.run_for cfg ~txns:24 ~gen
 
 (* Contract (1): the incremental replay's verdict equals the offline
    oracle's on every history the pool can produce — locking, snapshot
@@ -346,7 +347,7 @@ let test_two_worker_polls_never_commit_a_doom () =
               ~initial:(Generators.bank_accounts 8)
               ~think_us:1. ~seed ~certify:true ()
           in
-          let r = Pool.run_n cfg ~txns:48 ~gen in
+          let r = Pool.run_for cfg ~txns:48 ~gen in
           let tag what = Printf.sprintf "%s seed %d %s" (L.name level) seed what in
           match r.Pool.certifier with
           | None -> Alcotest.fail "certifier summary missing"

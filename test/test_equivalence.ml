@@ -200,7 +200,7 @@ let reference_verdict h =
   let g =
     if History.Mv.is_mv h then Ref.Mv.mvsg h
     else begin
-      let g = Digraph.create ~shards:1 () in
+      let g = Digraph.create () in
       List.iter (Digraph.add_node g) (History.committed h);
       List.iter
         (fun (e : History.Conflict.edge) -> Digraph.add_edge g e.src e.dst)

@@ -263,7 +263,7 @@ let test_stress_runs_recover_everywhere () =
           Pool.job ~name:p.Core.Program.name ~level:L.Serializable p)
     in
     let cfg = Pool.config ~workers:4 ~initial ~think_us:20. ~seed () in
-    let r = Pool.run_n cfg ~txns:(Array.length jobs) ~gen:(Array.get jobs) in
+    let r = Pool.run_for cfg ~txns:(Array.length jobs) ~gen:(Array.get jobs) in
     match r.Pool.wal with
     | None -> Alcotest.fail "locking run must expose its WAL"
     | Some wal ->
@@ -316,7 +316,7 @@ let test_stress_runs_recover_everywhere_segmented () =
           Pool.config ~workers:4 ~initial ~think_us:20. ~seed ~wal_dir
             ~wal_segment_bytes:512 ~checkpoint_every ()
         in
-        let r = Pool.run_n cfg ~txns:(Array.length jobs) ~gen:(Array.get jobs) in
+        let r = Pool.run_for cfg ~txns:(Array.length jobs) ~gen:(Array.get jobs) in
         match r.Pool.wal with
         | None -> Alcotest.fail "locking run must expose its WAL"
         | Some wal ->
@@ -353,7 +353,7 @@ let test_snapshot_runs_recover_everywhere () =
           Pool.job ~name:p.Core.Program.name ~level:L.Snapshot p)
     in
     let cfg = Pool.config ~workers:4 ~initial ~think_us:20. ~seed () in
-    let r = Pool.run_n cfg ~txns:(Array.length jobs) ~gen:(Array.get jobs) in
+    let r = Pool.run_for cfg ~txns:(Array.length jobs) ~gen:(Array.get jobs) in
     match r.Pool.wal with
     | None -> Alcotest.fail "multiversion run must expose its WAL"
     | Some wal ->
@@ -386,7 +386,7 @@ let chaos_run ?(txns = 32) ?(workers = 4) ?fault ?deadline_us ?watchdog_us
     Pool.config ~workers ~initial ~think_us:20. ~seed ?fault ?deadline_us
       ?watchdog_us ()
   in
-  (initial, Pool.run_n cfg ~txns:(Array.length jobs) ~gen:(Array.get jobs))
+  (initial, Pool.run_for cfg ~txns:(Array.length jobs) ~gen:(Array.get jobs))
 
 let check_effects_conserved name initial (r : Pool.result) =
   match r.Pool.wal with
@@ -452,7 +452,7 @@ let test_mv_torn_stamp_retries () =
         Pool.job ~name:p.Core.Program.name ~level:L.Snapshot p)
   in
   let cfg = Pool.config ~workers:4 ~initial ~think_us:20. ~seed:3 ~fault:plan () in
-  let r = Pool.run_n cfg ~txns:(Array.length jobs) ~gen:(Array.get jobs) in
+  let r = Pool.run_for cfg ~txns:(Array.length jobs) ~gen:(Array.get jobs) in
   Alcotest.(check bool) "some stamps were torn" true
     (r.Pool.metrics.Metrics.faults_injected > 0);
   Alcotest.(check int) "every job commits after retry" 32
@@ -519,7 +519,7 @@ let test_fault_events_traced () =
     Pool.config ~workers:4 ~initial ~think_us:20. ~seed:5 ~fault:plan
       ~trace:sink ()
   in
-  let r = Pool.run_n cfg ~txns:(Array.length jobs) ~gen:(Array.get jobs) in
+  let r = Pool.run_for cfg ~txns:(Array.length jobs) ~gen:(Array.get jobs) in
   let traced =
     List.filter
       (fun (e : Trace.Event.t) ->

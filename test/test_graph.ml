@@ -298,7 +298,7 @@ let test_high_degree_removal () =
 (* {2 The plain digraph} *)
 
 let test_digraph_basics () =
-  let g = D.create ~shards:4 () in
+  let g = D.create () in
   D.add_edge g 1 2;
   D.add_edge g 1 2;
   D.add_edge g 2 3;

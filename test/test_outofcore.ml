@@ -311,7 +311,7 @@ let test_pruned_verdict_equals_replay () =
       ~initial:(Generators.bank_accounts accounts)
       ~think_us:0. ~seed:11 ~certify:true ~prune_every:8 ()
   in
-  let r = Pool.run_n cfg ~txns:256 ~gen in
+  let r = Pool.run_for cfg ~txns:256 ~gen in
   let s = Option.get r.Pool.certifier in
   Alcotest.(check bool) "pruning actually ran" true
     (s.Certifier.prune_passes > 0 && s.Certifier.pruned_nodes > 0);
@@ -346,7 +346,7 @@ let test_pool_out_of_core () =
               ~wal_dir ~wal_segment_bytes:512 ~checkpoint_every:100
               ~keep_history:false ~spill_dir ()
           in
-          let r = Pool.run_n cfg ~txns:500 ~gen in
+          let r = Pool.run_for cfg ~txns:500 ~gen in
           Alcotest.(check bool) "no journal kept" true (r.Pool.journal = []);
           Alcotest.(check (array string)) "the ignored spill_dir stays empty"
             [||] (Sys.readdir spill_dir);
@@ -382,7 +382,7 @@ let test_pool_out_of_core_mv () =
           ~prune_every:64 ~wal_dir ~wal_segment_bytes:512
           ~checkpoint_every:100 ~keep_history:false ()
       in
-      let r = Pool.run_n cfg ~txns:500 ~gen in
+      let r = Pool.run_for cfg ~txns:500 ~gen in
       Alcotest.(check bool) "no journal kept" true (r.Pool.journal = []);
       let wal = Option.get r.Pool.wal in
       let st = Wal.stats wal in

@@ -30,7 +30,7 @@ let run ~level ~mix ?(seed = 11) ?(workers = 4) ?(hot = 2) n =
       ~initial:(Generators.bank_accounts accounts)
       ~think_us:50. ~seed ()
   in
-  Pool.run_n cfg ~txns:n ~gen:(stress_job ~level ~mix ~seed ~hot)
+  Pool.run_for cfg ~txns:n ~gen:(stress_job ~level ~mix ~seed ~hot)
 
 (* Committed increments of [k] recorded in the journal; under a correct
    engine the final balance must reflect exactly these. *)
@@ -101,7 +101,7 @@ let test_read_committed_loses_updates () =
             ~oracle_phenomena:[ Ph.P4 ] ()
         in
         let r =
-          Pool.run_n cfg ~txns:64
+          Pool.run_for cfg ~txns:64
             ~gen:
               (stress_job ~level:L.Read_committed ~mix:Generators.Hotspot ~seed
                  ~hot:1)
@@ -147,7 +147,7 @@ let contended_pair ?watchdog_us () =
       ~initial:[ ("x", 0); ("y", 0); ("z", 0); ("w", 0) ]
       ~think_us:20_000. ?watchdog_us ()
   in
-  Pool.run_n cfg ~txns:2 ~gen:job
+  Pool.run_for cfg ~txns:2 ~gen:job
 
 (* One wait costs one park: a waiter woken on release re-steps once (a
    racing wake may cost one more), where a timer-polling waiter would

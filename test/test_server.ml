@@ -448,7 +448,7 @@ let test_pool_stop_drains () =
   in
   (* far more work than 50ms can finish: the run must return early,
      complete (journal) every attempt it started, and stay checkable *)
-  let r = Pool.run_n cfg ~txns:5000 ~gen in
+  let r = Pool.run_for cfg ~txns:5000 ~gen in
   Thread.join stopper;
   let m = r.Pool.metrics in
   let done_ =
@@ -461,44 +461,6 @@ let test_pool_stop_drains () =
     (match (Option.get r.Pool.oracle).Oracle.well_formed with
     | Ok () -> true
     | Error _ -> false)
-
-(* {2 Certifier batching equivalence} *)
-
-let test_certify_batch_equivalent () =
-  (* single worker: identical schedules, so batched and inline feeds
-     must produce identical certifier accounting, not just verdicts *)
-  let run ~certify_batch =
-    let cfg =
-      Pool.config ~workers:1
-        ~initial:(Generators.bank_accounts 8)
-        ~seed:21 ~certify:true ~certify_batch ()
-    in
-    let gen i =
-      let p =
-        Generators.stress_program Generators.Mixed ~seed:21 ~accounts:8 ~hot:4
-          ~ops:5 ~index:i
-      in
-      Pool.job ~name:p.Core.Program.name ~level:L.Read_committed p
-    in
-    Pool.run_n cfg ~txns:64 ~gen
-  in
-  let a = run ~certify_batch:true and b = run ~certify_batch:false in
-  let s r =
-    match r.Pool.certifier with
-    | Some s -> s
-    | None -> Alcotest.fail "certifier summary missing"
-  in
-  let sa = s a and sb = s b in
-  Alcotest.(check bool) "batched serializable" true sa.Runtime.Certifier.serializable;
-  Alcotest.(check bool) "inline serializable" true sb.Runtime.Certifier.serializable;
-  Alcotest.(check int)
-    "same wr edges" sa.Runtime.Certifier.edges_wr sb.Runtime.Certifier.edges_wr;
-  Alcotest.(check int)
-    "same ww edges" sa.Runtime.Certifier.edges_ww sb.Runtime.Certifier.edges_ww;
-  Alcotest.(check int)
-    "same rw edges" sa.Runtime.Certifier.edges_rw sb.Runtime.Certifier.edges_rw;
-  Alcotest.(check int)
-    "same dooms" sa.Runtime.Certifier.dooms sb.Runtime.Certifier.dooms
 
 (* {2 The scheduler's kick}
 
@@ -730,8 +692,6 @@ let suite =
       test_draining_rejects;
     Alcotest.test_case "pool stop flag drains the batch runner" `Slow
       test_pool_stop_drains;
-    Alcotest.test_case "certifier batching is accounting-equivalent" `Quick
-      test_certify_batch_equivalent;
     Alcotest.test_case "scheduler: kick resumes a parked task only" `Quick
       test_kick_resumes_parked;
     Alcotest.test_case "scheduler: kick during a pump requeues its park" `Quick

@@ -1,8 +1,8 @@
 (* The striped execution path: stripe plans, the shared key-hash map,
    the sharded store and striped lock table, cross-stripe deadlock
-   detection, the whole-history oracle verdict, and the property the whole refactor is
-   accountable to — striped runs produce well-formed histories with the
-   same oracle verdict class as the coarse baseline at every level.
+   detection, the whole-history oracle verdict, and the property the
+   striping is accountable to — striped runs produce well-formed
+   histories with the same oracle verdict class as single-latch runs.
 
    Parallel assertions follow the suite's rule: only invariants that
    hold for every interleaving (verdicts, conservation, accounting).
@@ -179,7 +179,7 @@ let test_cross_stripe_deadlock () =
           ~initial:(Generators.bank_accounts 16)
           ~think_us:50. ~seed ()
       in
-      let r = Pool.run_n cfg ~txns:n ~gen in
+      let r = Pool.run_for cfg ~txns:n ~gen in
       deadlocks_seen := !deadlocks_seen + r.Pool.metrics.Metrics.deadlocks;
       Alcotest.(check int)
         (Printf.sprintf "seed %d: every job commits" seed)
@@ -203,9 +203,9 @@ let test_cross_stripe_deadlock () =
   Alcotest.(check bool) "at least one deadlock broken across seeds" true
     (!deadlocks_seen > 0)
 
-(* {2 Striped vs coarse: same verdict class at every level} *)
+(* {2 Striped vs single latch: same verdict class at every level} *)
 
-let run_mode ~coarse ~level ~seed =
+let run_mode ?(workers = 4) ~level ~seed () =
   let mix =
     (* hot keys for the weak levels so anomalies have a chance to form *)
     match level with
@@ -219,17 +219,17 @@ let run_mode ~coarse ~level ~seed =
     Pool.job ~name:p.Core.Program.name ~level p
   in
   let cfg =
-    Pool.config ~workers:4 ~coarse
+    Pool.config ~workers
       ~initial:(Generators.bank_accounts 8)
       ~think_us:20. ~seed ()
   in
-  Pool.run_n cfg ~txns:24 ~gen
+  Pool.run_for cfg ~txns:24 ~gen
 
-(* The verdict class a level is accountable for. Striped and coarse runs
-   see different interleavings, so per-seed witness counts differ; what
-   must agree is the class: serializability-promising levels come back
-   clean (2PL even pattern-free) in both modes, and every history is
-   well-formed in both modes. *)
+(* The verdict class a level is accountable for. Striped and
+   single-latch runs see different interleavings, so per-seed witness
+   counts differ; what must agree is the class: serializability-promising
+   levels come back clean (2PL even pattern-free) in both modes, and
+   every history is well-formed in both modes. *)
 let check_class ~mode ~level ~seed (r : Pool.result) =
   let label fact = Printf.sprintf "%s seed %d (%s): %s" (L.name level) seed mode fact in
   Alcotest.(check bool) (label "well-formed") true
@@ -245,24 +245,27 @@ let check_class ~mode ~level ~seed (r : Pool.result) =
     Alcotest.(check bool) (label "clean") true (Oracle.clean (Option.get r.oracle))
   | _ -> ()
 
+(* Several workers step the locking engine under its stripes; a lone
+   worker steps it under the single latch the pool derives for it. *)
 let test_striped_serializable_20_seeds () =
   List.iter
     (fun seed ->
-      let striped = run_mode ~coarse:false ~level:L.Serializable ~seed in
+      let striped = run_mode ~level:L.Serializable ~seed () in
+      Alcotest.(check int) "four workers take the stripes"
+        Pool.default_stripes striped.Pool.lock_stripes;
       check_class ~mode:"striped" ~level:L.Serializable ~seed striped;
-      let coarse = run_mode ~coarse:true ~level:L.Serializable ~seed in
-      check_class ~mode:"coarse" ~level:L.Serializable ~seed coarse)
+      let single = run_mode ~workers:1 ~level:L.Serializable ~seed () in
+      Alcotest.(check int) "one worker takes the single latch" 1
+        single.Pool.lock_stripes;
+      check_class ~mode:"single latch" ~level:L.Serializable ~seed single)
     (List.init 20 (fun i -> i + 1))
 
 let test_striped_other_levels () =
   List.iter
     (fun level ->
       List.iter
-        (fun seed ->
-          let striped = run_mode ~coarse:false ~level ~seed in
-          check_class ~mode:"striped" ~level ~seed striped;
-          let coarse = run_mode ~coarse:true ~level ~seed in
-          check_class ~mode:"coarse" ~level ~seed coarse)
+        (fun seed -> check_class ~mode:"single latch" ~level ~seed
+            (run_mode ~level ~seed ()))
         [ 1; 2; 3; 4 ])
     [ L.Snapshot; L.Serializable_snapshot; L.Timestamp_ordering ]
 
@@ -274,7 +277,7 @@ let test_striped_read_committed_still_weak () =
   let found = ref false in
   List.iter
     (fun seed ->
-      let r = run_mode ~coarse:false ~level:L.Read_committed ~seed in
+      let r = run_mode ~level:L.Read_committed ~seed () in
       check_class ~mode:"striped" ~level:L.Read_committed ~seed r;
       if
         List.exists
@@ -319,7 +322,7 @@ let test_oracle_clean_run () =
       ~initial:(Generators.bank_accounts 8)
       ~think_us:20. ~oracle_window:8 ~seed:5 ()
   in
-  let r = Pool.run_n cfg ~txns:48 ~gen in
+  let r = Pool.run_for cfg ~txns:48 ~gen in
   let v = Option.get r.Pool.oracle in
   Alcotest.(check int) "the verdict covers every action"
     (List.length r.Pool.history) v.Oracle.actions;
@@ -343,7 +346,7 @@ let suite =
       test_striped_lock_table_equivalence;
     Alcotest.test_case "cross-stripe deadlocks are found and broken" `Quick
       test_cross_stripe_deadlock;
-    Alcotest.test_case "striped SERIALIZABLE clean over 20 seeds (+ coarse)"
+    Alcotest.test_case "striped SERIALIZABLE clean over 20 seeds (+ one worker)"
       `Quick test_striped_serializable_20_seeds;
     Alcotest.test_case "striped SI/SSI/TO keep their verdict class" `Quick
       test_striped_other_levels;

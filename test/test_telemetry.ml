@@ -288,7 +288,7 @@ let certified_run () =
          ~accounts:8 ~hot:8 ~ops:4 ~index:i)
   in
   let r =
-    Runtime.Pool.run_n cfg ~txns:24 ~gen ~monitor:(fun sample ->
+    Runtime.Pool.run_for cfg ~txns:24 ~gen ~monitor:(fun sample ->
         live := Some (sample ()))
   in
   (r, Option.get !live)

@@ -175,7 +175,7 @@ let rc_lost_update_run () =
             in
             Pool.job ~name:p.Core.Program.name ~level:L.Read_committed p)
       in
-      let r = Pool.run_n cfg ~txns:(Array.length jobs) ~gen:(Array.get jobs) in
+      let r = Pool.run_for cfg ~txns:(Array.length jobs) ~gen:(Array.get jobs) in
       if (Option.get r.Pool.oracle).Oracle.witnesses <> [] then Some r else hunt rest
   in
   hunt [ 1; 2; 3; 4; 5; 6; 7; 8 ]
