@@ -450,8 +450,8 @@ let stripes_arg =
         ~doc:
           "Key stripes for the striped execution path (locking engines \
            with more than one worker; one extra stripe serializes \
-           predicate locking). Each engine step \
-           takes only the stripes its footprint touches.")
+           predicate locking). Each engine step takes only the stripes \
+           its footprint touches.")
 
 let certify_arg =
   Arg.(

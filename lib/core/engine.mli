@@ -77,7 +77,7 @@ val create :
 (** The shards a step of an operation touches — the runtime's stripe
     planner acquires exactly these stripes before stepping. [All] is the
     conservative answer (and the only one non-locking engines and
-    next-key locking give): hold every stripe, i.e. the coarse latch. *)
+    next-key locking give): hold every stripe, excluding every other step. *)
 type footprint = Lock_engine.footprint = All | Keys of { keys : key list; pred : bool }
 
 val footprint : t -> txn -> Program.op -> footprint

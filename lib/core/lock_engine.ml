@@ -530,7 +530,7 @@ let forget t tid =
 
 (* Which shards (store shards, lock buckets, stripe mutexes) a step of
    [op] touches. [All] is the conservative answer — the pool then holds
-   every stripe, which is exactly the coarse latch. [Keys] names the data
+   every stripe, excluding every other step. [Keys] names the data
    keys, plus whether the step reaches the predicate bucket (writers must
    see predicate readers — the phantom rule).
 

@@ -96,7 +96,6 @@ let edges h =
        (Array.to_list x.arr))
 
 let graph h =
-  (* one shard: the graph serves a single query *)
   let g = Digraph.create () in
   List.iter (fun t -> Digraph.add_node g t) (Hist.committed h);
   List.iter (fun e -> Digraph.add_edge g e.src e.dst) (edges h);

@@ -141,7 +141,6 @@ let adjacency ~every_later h =
 
 let mvsg h =
   let nodes, succs = adjacency ~every_later:true h in
-  (* one shard: the graph serves a single query *)
   let g = Digraph.create () in
   List.iter
     (fun n ->

@@ -972,10 +972,10 @@ let observe_locked t (a : Action.t) =
    section (the engine trace lock) with a two-mutex dance: [observe] only
    appends under the tiny [buf_m] — appends arrive in history order
    because the engine serializes its trace hook — and the graph catches
-   up on the next [flush]/[doomed]/[mv_trim]/[finalize]. Lock order is [m] then
-   [buf_m]: a flusher takes the graph lock first, so concurrent flushers
-   drain whole prefixes in order and the replayed sequence equals the
-   recorded history. *)
+   up on the next [flush]/[doomed]/[mv_trim]/[finalize]. Lock order is
+   [m] then [buf_m]: a flusher takes the graph lock first, so concurrent
+   flushers drain whole prefixes in order and the replayed sequence
+   equals the recorded history. *)
 let drain_locked t =
   Mutex.lock t.buf_m;
   let pending = List.rev t.buf in

@@ -519,7 +519,6 @@ module Mv = struct
      - Tk -> Tj when Tk reads x_i and x_j is a later version (rw). *)
   let mvsg h =
     let hc = Conflict.project_committed h in
-    (* one shard: the graph serves a single query *)
     let g = Digraph.create () in
     Digraph.add_node g 0;
     List.iter (fun t -> Digraph.add_node g t) (Hist.committed h);
@@ -733,7 +732,6 @@ module Executor = struct
       || (begun.(tid - 1) && Engine.status engine tid <> Engine.Active)
     in
     let waits_cycle () =
-      (* one shard: the graph serves a single query *)
       let g = Digraph.create () in
       Hashtbl.iter
         (fun t holders -> List.iter (fun h -> Digraph.add_edge g t h) holders)

@@ -128,7 +128,20 @@ let test_run_for_deadline () =
   Alcotest.(check bool) "made progress" true (r.metrics.Metrics.committed > 0);
   Alcotest.(check bool) "well-formed" true
     ((Option.get r.oracle).Oracle.well_formed = Ok ());
-  Alcotest.(check bool) "pattern-free" true (Oracle.pattern_free (Option.get r.oracle))
+  Alcotest.(check bool) "pattern-free" true (Oracle.pattern_free (Option.get r.oracle));
+  (* both bounds: the count runs out long before the deadline *)
+  let t0 = Unix.gettimeofday () in
+  let r = Pool.run_for cfg ~txns:5 ~duration_s:60. ~gen in
+  Alcotest.(check bool) "the count bound stops the run" true
+    (Unix.gettimeofday () -. t0 < 30.);
+  Alcotest.(check (list int)) "exactly the first five jobs ran"
+    [ 0; 1; 2; 3; 4 ]
+    (List.sort_uniq compare
+       (List.map (fun (e : Recorder.entry) -> e.job) r.journal));
+  Alcotest.check_raises "no bound and no stop flag"
+    (Invalid_argument
+       "Pool.run_for: no ~txns, no ~duration_s and no stop flag")
+    (fun () -> ignore (Pool.run_for cfg ~gen : Pool.result))
 
 (* {2 One wait, one park}
 
@@ -236,7 +249,7 @@ let suite =
     Alcotest.test_case "SSI and T/O stay clean" `Quick test_ssi_and_to_clean;
     Alcotest.test_case "read committed loses updates (oracle sees P4)" `Quick
       test_read_committed_loses_updates;
-    Alcotest.test_case "run_for: deadline-bounded run" `Quick
+    Alcotest.test_case "run_for: the first bound stops the run" `Quick
       test_run_for_deadline;
     Alcotest.test_case "one wait costs one park" `Quick test_one_wait_one_park;
     Alcotest.test_case "a parked worker is not stuck" `Quick
