@@ -462,6 +462,50 @@ let test_pool_stop_drains () =
     | Ok () -> true
     | Error _ -> false)
 
+(* {2 Certifier batching equivalence} *)
+
+let test_certify_batch_equivalent () =
+  (* The pool's certifier feed is batched: the engine's trace hook only
+     queues each action and the graph work happens on the next poll.
+     A fresh certifier fed the same recorded history one action at a
+     time ({!Runtime.Certifier.replay}) must produce identical
+     accounting, not just the same verdict. *)
+  let cfg =
+    Pool.config ~workers:1
+      ~initial:(Generators.bank_accounts 8)
+      ~seed:21 ~certify:true ()
+  in
+  let gen i =
+    let p =
+      Generators.stress_program Generators.Mixed ~seed:21 ~accounts:8 ~hot:4
+        ~ops:5 ~index:i
+    in
+    Pool.job ~name:p.Core.Program.name ~level:L.Read_committed p
+  in
+  let r = Pool.run_for cfg ~txns:64 ~gen in
+  let sa =
+    match r.Pool.certifier with
+    | Some s -> s
+    | None -> Alcotest.fail "certifier summary missing"
+  in
+  let sb =
+    Runtime.Certifier.replay ~mode:Runtime.Certifier.Enforce ~family:`Locking
+      r.Pool.history
+  in
+  Alcotest.(check bool) "some edges were fed" true
+    (sa.Runtime.Certifier.edges_wr + sa.Runtime.Certifier.edges_ww
+     + sa.Runtime.Certifier.edges_rw > 0);
+  Alcotest.(check bool) "batched serializable" true sa.Runtime.Certifier.serializable;
+  Alcotest.(check bool) "inline serializable" true sb.Runtime.Certifier.serializable;
+  Alcotest.(check int)
+    "same wr edges" sb.Runtime.Certifier.edges_wr sa.Runtime.Certifier.edges_wr;
+  Alcotest.(check int)
+    "same ww edges" sb.Runtime.Certifier.edges_ww sa.Runtime.Certifier.edges_ww;
+  Alcotest.(check int)
+    "same rw edges" sb.Runtime.Certifier.edges_rw sa.Runtime.Certifier.edges_rw;
+  Alcotest.(check int)
+    "same dooms" sb.Runtime.Certifier.dooms sa.Runtime.Certifier.dooms
+
 (* {2 The scheduler's kick}
 
    One worker domain and hand-written pumps, so every state transition
@@ -692,6 +736,8 @@ let suite =
       test_draining_rejects;
     Alcotest.test_case "pool stop flag drains the batch runner" `Slow
       test_pool_stop_drains;
+    Alcotest.test_case "certifier batching is accounting-equivalent" `Quick
+      test_certify_batch_equivalent;
     Alcotest.test_case "scheduler: kick resumes a parked task only" `Quick
       test_kick_resumes_parked;
     Alcotest.test_case "scheduler: kick during a pump requeues its park" `Quick
